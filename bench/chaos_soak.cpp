@@ -34,6 +34,7 @@
 #include <string>
 
 #include "serve/chaos.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 
@@ -76,6 +77,7 @@ int main(int argc, char** argv) {
           ? (std::filesystem::temp_directory_path() / "coreda_chaos").string()
           : flags.get("dir");
   fp.dir = base_dir + "_fleet";
+  fp.allocation_count = util::allocation_count;
 
   std::printf("Chaos soak: %zu fleet users (%zu shards x %zu slots), "
               "%zu chaos + %zu tail rounds x %zu sessions,\n"

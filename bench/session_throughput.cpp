@@ -17,9 +17,11 @@
 //     construct-per-request shape every caller was forced into before, kept
 //     as the in-bench baseline the reuse speedup is measured against.
 //
-// Reported: sessions/sec, allocs/session (global operator-new counter) and
-// the single-user steady-state allocs/session probe, all written to the
-// --timing-json side channel (BENCH_sessions.json). Stdout stays
+// Reported: sessions/sec, allocs/session (global operator-new counter),
+// the single-user steady-state allocs/session probe and two exact work
+// counters of the reuse fleet (sensor samples synthesized and scheduler
+// events fired per session), all written to the --timing-json side channel
+// (BENCH_sessions.json). Stdout stays
 // byte-identical at any --jobs (seed-split TrialRunner); wall-clock and
 // allocation totals live only in the side channel.
 //
@@ -47,7 +49,17 @@ using namespace coreda;
 struct FleetTotals {
   std::uint64_t checksum = 0;
   std::uint64_t completed = 0;
+  std::uint64_t samples = 0;  ///< sensor samples synthesized (reuse mode)
+  std::uint64_t events = 0;   ///< scheduler events fired (reuse mode)
 };
+
+std::uint64_t samples_taken(const core::CoredaSystem& system) {
+  std::uint64_t samples = 0;
+  for (adl::ToolId tool : system.adl().tools()) {
+    samples += system.node(tool).samples();
+  }
+  return samples;
+}
 
 /// Per-user severity draw shared by both modes so they serve identical
 /// patient populations.
@@ -137,12 +149,16 @@ int main(int argc, char** argv) {
         const patient::PatientProfile profile = fleet_profile(ctx.rng);
         FleetTotals totals;
         core::SessionResult result;
+        const std::uint64_t samples_before = samples_taken(system);
+        const std::uint64_t events_before = system.scheduler().events_fired();
         for (std::size_t s = 0; s < sessions; ++s) {
           system.run_session_inplace(profile, sim::Duration::minutes(15.0),
                                      {}, result);
           totals.completed += result.completed;
           totals.checksum += session_checksum(result);
         }
+        totals.samples = samples_taken(system) - samples_before;
+        totals.events = system.scheduler().events_fired() - events_before;
         return totals;
       });
   const double reuse_seconds = reuse_timer.seconds();
@@ -176,6 +192,8 @@ int main(int argc, char** argv) {
   for (const FleetTotals& t : reuse_results) {
     reuse.checksum += t.checksum;
     reuse.completed += t.completed;
+    reuse.samples += t.samples;
+    reuse.events += t.events;
   }
   for (const FleetTotals& t : fresh_results) {
     fresh.checksum += t.checksum;
@@ -211,7 +229,11 @@ int main(int argc, char** argv) {
           << static_cast<double>(reuse_allocs) / total_sessions
           << ", \"steady_state_allocs_per_session\": "
           << steady_allocs_per_session << ", \"speedup_vs_fresh\": "
-          << (reuse_seconds > 0.0 ? fresh_seconds / reuse_seconds : 0.0);
+          << (reuse_seconds > 0.0 ? fresh_seconds / reuse_seconds : 0.0)
+          << ", \"samples_synthesized_per_session\": "
+          << static_cast<double>(reuse.samples) / total_sessions
+          << ", \"scheduler_events_per_session\": "
+          << static_cast<double>(reuse.events) / total_sessions;
     exec::append_timing_record(timing_path, "session_throughput",
                                runner.jobs(), users, reuse_seconds,
                                extra.str());

@@ -29,14 +29,25 @@ double AccelerometerModel::sample(sim::TimePoint /*t*/, double activation,
   if (activation <= 0.0 && rng.bernoulli(params_.bump_probability)) {
     bump = params_.bump_magnitude_g * rng.uniform(0.6, 1.0);
   }
+  // The tilt angles are drawn even when unused below, so the generator
+  // stream does not depend on which branch runs.
   const double theta = rng.uniform(0.0, 2.0 * std::numbers::pi);
   const double phi = rng.uniform(0.0, std::numbers::pi);
   const double r = drive + bump;
-  last_.x = r * std::sin(phi) * std::cos(theta) +
-            rng.normal(0.0, params_.noise_g);
-  last_.y = r * std::sin(phi) * std::sin(theta) +
-            rng.normal(0.0, params_.noise_g);
-  last_.z = 1.0 + r * std::cos(phi) + rng.normal(0.0, params_.noise_g);
+  const double noise = params_.noise_g;
+  if (r == 0.0) {
+    // Idle tool, no bump — most samples of a session. Every tilt product
+    // is then ±0, and ±0 + n == n for each noise draw n (normal() never
+    // returns -0: its 0.0 + -0.0 rounds to +0.0), while 1.0 + ±0 == 1.0.
+    // Skipping the four sin/cos evaluations is therefore bit-exact.
+    last_.x = rng.normal(0.0, noise);
+    last_.y = rng.normal(0.0, noise);
+    last_.z = 1.0 + rng.normal(0.0, noise);
+  } else {
+    last_.x = r * std::sin(phi) * std::cos(theta) + rng.normal(0.0, noise);
+    last_.y = r * std::sin(phi) * std::sin(theta) + rng.normal(0.0, noise);
+    last_.z = 1.0 + r * std::cos(phi) + rng.normal(0.0, noise);
+  }
   // The firmware's excitation metric: deviation of |a| from 1 g.
   return std::abs(last_.magnitude() - 1.0);
 }

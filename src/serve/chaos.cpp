@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/alloc_counter.hpp"
-
 namespace coreda::serve {
 
 namespace {
@@ -175,19 +173,24 @@ ChaosFleetResult ChaosFleetSoak::run(exec::TrialRunner& runner) {
   // rebases) into some drains, so the probe takes the minimum over a few
   // drains: the drain the deterministic append sequence leaves
   // maintenance-free is the serving path's true allocation floor.
+  // The caller supplies the allocation counter (see ChaosFleetParams); the
+  // drains run either way so the final report does not depend on it.
   exec::TrialRunner probe_runner(1);
   constexpr std::size_t kProbe = 64;
   constexpr std::size_t kProbeDrains = 4;
-  result.steady_state_allocs = static_cast<double>(kProbe);
+  const auto count = params_.allocation_count;
+  if (count) result.steady_state_allocs = static_cast<double>(kProbe);
   for (std::size_t d = 0; d < kProbeDrains; ++d) {
     for (std::size_t i = 0; i < kProbe; ++i) {
       fleet_->enqueue(arrivals_.next());
     }
-    const std::uint64_t before = util::allocation_count();
+    const std::uint64_t before = count ? count() : 0;
     result.report = fleet_->drain(probe_runner);
-    const double allocs =
-        static_cast<double>(util::allocation_count() - before) / kProbe;
-    result.steady_state_allocs = std::min(result.steady_state_allocs, allocs);
+    if (count) {
+      const double allocs = static_cast<double>(count() - before) / kProbe;
+      result.steady_state_allocs =
+          std::min(result.steady_state_allocs, allocs);
+    }
   }
 
   for (const faults::Injector::SiteLog& site : injector_.log()) {

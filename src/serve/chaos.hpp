@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,6 +62,11 @@ struct ChaosFleetParams {
   double zipf = 1.1;
   /// Segment store directory (required; wiped on construction).
   std::string dir;
+  /// Process-wide allocation counter read around the steady-state probe —
+  /// util::allocation_count from an executable that includes
+  /// util/alloc_counter.hpp. Null leaves steady_state_allocs at NaN (the
+  /// probe drains still run, so every other result field is unchanged).
+  std::uint64_t (*allocation_count)() = nullptr;
 };
 
 /// Per-round soak log line. Counters prefixed `round_` cover this round
@@ -91,8 +97,9 @@ struct ChaosFleetResult {
   std::uint64_t injected_crashes = 0;
   std::uint64_t injected_corruptions = 0;
   /// Allocations per session over a serial post-soak probe (the fault
-  /// window is closed and the fleet warm again: must be 0).
-  double steady_state_allocs = 0.0;
+  /// window is closed and the fleet warm again: must be 0). NaN when no
+  /// ChaosFleetParams::allocation_count probe was given.
+  double steady_state_allocs = std::numeric_limits<double>::quiet_NaN();
   /// Drain wall-clock, timing side-channel only — never printed.
   double serve_seconds = 0.0;
 };

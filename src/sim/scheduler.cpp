@@ -99,6 +99,7 @@ bool Scheduler::fire_next() {
       continue;
     }
     now_ = ev.when;
+    ++events_fired_;
     if (ev.period > Duration()) {
       // Periodic: the slot stays alive across reschedules, so the whole
       // series costs one slot and one callback, reused every period. A

@@ -98,6 +98,11 @@ class Scheduler {
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t pending() const noexcept { return heap_.size(); }
 
+  /// Callbacks fired since construction (monotonic; cancelled events that
+  /// are reaped without firing do not count). A deterministic work counter:
+  /// differences over a session give its scheduler events.
+  std::uint64_t events_fired() const noexcept { return events_fired_; }
+
  private:
   friend class EventHandle;
 
@@ -135,6 +140,7 @@ class Scheduler {
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t events_fired_ = 0;
   std::vector<Event> heap_;  ///< binary heap ordered by Later
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;

@@ -16,6 +16,9 @@
 
 #include "exec/trial_runner.hpp"
 #include "faults/faults.hpp"
+// Replaces this test binary's global allocator with the counting one the
+// steady-state probe reads (exactly one TU per executable).
+#include "util/alloc_counter.hpp"
 
 namespace coreda::serve {
 namespace {
@@ -35,6 +38,7 @@ ChaosFleetParams small_fleet(const std::string& dir) {
   p.shards = 4;
   p.slots_per_shard = 2;
   p.dir = dir;
+  p.allocation_count = util::allocation_count;
   return p;
 }
 

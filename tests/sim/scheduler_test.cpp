@@ -208,6 +208,22 @@ TEST(SchedulerTest, CancelledPendingEventsAreReapedWithoutFiring) {
   EXPECT_TRUE(s.empty());
 }
 
+TEST(SchedulerTest, EventsFiredCountsCallbacksAcrossRuns) {
+  Scheduler s;
+  EXPECT_EQ(s.events_fired(), 0u);
+  EventHandle series =
+      s.schedule_periodic(Duration::millis(100), [] {});
+  EventHandle dropped = s.schedule_after(Duration::millis(50), [] {});
+  s.schedule_after(Duration::millis(150), [] {});
+  dropped.cancel();  // reaped, never fired: not counted
+  EXPECT_EQ(s.run_until(TimePoint::from_seconds(0.5)), 6u);
+  EXPECT_EQ(s.events_fired(), 6u);
+  series.cancel();
+  s.schedule_after(Duration::millis(10), [] {});
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(s.events_fired(), 7u);  // monotonic across run calls
+}
+
 TEST(SchedulerTest, HandleCopiesShareCancellation) {
   Scheduler s;
   bool fired = false;

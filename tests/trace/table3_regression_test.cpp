@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "adl/library.hpp"
 #include "trace/sensing_pipeline.hpp"
 #include "util/stats.hpp"
@@ -13,18 +15,24 @@
 namespace coreda::trace {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter (ToolBand has
+// no operator<<), so the struct must have no padding: padding bytes are
+// indeterminate and would give the test a different name on every listing.
 struct ToolBand {
-  adl::ToolId tool;
+  std::uint64_t tool;  // an adl::ToolId, widened to leave no padding
   double low;
   double high;
+
+  adl::ToolId id() const { return static_cast<adl::ToolId>(tool); }
 };
+static_assert(sizeof(ToolBand) == sizeof(std::uint64_t) + 2 * sizeof(double));
 
 struct Table3Band : ::testing::TestWithParam<ToolBand> {};
 
 TEST_P(Table3Band, PrecisionInsideCalibratedBand) {
   const ToolBand band = GetParam();
   adl::AdlLibrary library;
-  const adl::Tool& tool = library.tools().at(band.tool);
+  const adl::Tool& tool = library.tools().at(band.id());
 
   SensingPipeline pipeline(library.tools(), {tool.id}, 12000 + tool.id);
   util::Rng durations(13000 + tool.id);
@@ -57,7 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
         ToolBand{adl::tools::kTeaCup, 0.82, 0.99}),     // paper 90 %
     [](const auto& info) {
       adl::AdlLibrary library;
-      std::string name = library.tools().at(info.param.tool).name;
+      std::string name = library.tools().at(info.param.id()).name;
       for (char& c : name) {
         if (c == ' ') c = '_';
       }
