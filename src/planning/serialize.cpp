@@ -4,7 +4,6 @@
 #include <cstring>
 #include <istream>
 #include <iterator>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -14,119 +13,6 @@
 #include "util/wire.hpp"
 
 namespace coreda::planning {
-
-namespace {
-
-constexpr const char* kMagic = "coreda-policy v1";
-
-std::string read_line(std::istream& in, const char* what) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error(std::string("load_policy: missing ") + what);
-  }
-  return line;
-}
-
-std::vector<std::uint64_t> parse_ids(const std::string& line,
-                                     const char* what) {
-  std::vector<std::uint64_t> out;
-  std::istringstream is(line);
-  std::uint64_t v;
-  while (is >> v) out.push_back(v);
-  if (out.empty()) {
-    throw std::runtime_error(std::string("load_policy: empty ") + what);
-  }
-  return out;
-}
-
-}  // namespace
-
-void save_policy(std::ostream& out, const RoutineLearner& learner) {
-  out << kMagic << '\n';
-
-  out << "steps";
-  for (adl::StepId id : learner.state_codec().symbols()) out << ' ' << id;
-  out << '\n';
-
-  out << "tools";
-  for (adl::ToolId id : learner.action_codec().tools()) out << ' ' << id;
-  out << '\n';
-
-  const rl::QTable& q = learner.q();
-  out << q.num_states() << ' ' << q.num_actions() << '\n';
-  out.precision(17);
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      if (a > 0) out << ' ';
-      out << q.get(s, a);
-    }
-    out << '\n';
-  }
-}
-
-void load_policy(std::istream& in, RoutineLearner& learner) {
-  if (read_line(in, "magic") != kMagic) {
-    throw std::runtime_error("load_policy: not a coreda-policy v1 snapshot");
-  }
-
-  const std::string steps_line = read_line(in, "step vocabulary");
-  if (steps_line.rfind("steps ", 0) != 0) {
-    throw std::runtime_error("load_policy: malformed step vocabulary");
-  }
-  const auto steps = parse_ids(steps_line.substr(6), "step vocabulary");
-  const auto& symbols = learner.state_codec().symbols();
-  if (steps.size() != symbols.size()) {
-    throw std::runtime_error("load_policy: step vocabulary size mismatch");
-  }
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (steps[i] != symbols[i]) {
-      throw std::runtime_error("load_policy: step vocabulary mismatch");
-    }
-  }
-
-  const std::string tools_line = read_line(in, "tool vocabulary");
-  if (tools_line.rfind("tools ", 0) != 0) {
-    throw std::runtime_error("load_policy: malformed tool vocabulary");
-  }
-  const auto tools = parse_ids(tools_line.substr(6), "tool vocabulary");
-  const auto& known_tools = learner.action_codec().tools();
-  if (tools.size() != known_tools.size()) {
-    throw std::runtime_error("load_policy: tool vocabulary size mismatch");
-  }
-  for (std::size_t i = 0; i < tools.size(); ++i) {
-    if (tools[i] != known_tools[i]) {
-      throw std::runtime_error("load_policy: tool vocabulary mismatch");
-    }
-  }
-
-  std::size_t states = 0;
-  std::size_t actions = 0;
-  {
-    std::istringstream dims(read_line(in, "dimensions"));
-    if (!(dims >> states >> actions)) {
-      throw std::runtime_error("load_policy: malformed dimensions");
-    }
-  }
-  const rl::QTable& current = learner.q();
-  if (states != current.num_states() || actions != current.num_actions()) {
-    throw std::runtime_error("load_policy: Q-table dimension mismatch");
-  }
-
-  // Parse the full table into a staging copy first so a truncated snapshot
-  // cannot leave the learner half-loaded.
-  rl::QTable staged(states, actions);
-  for (rl::StateId s = 0; s < states; ++s) {
-    std::istringstream row(read_line(in, "Q row"));
-    for (rl::ActionId a = 0; a < actions; ++a) {
-      double value;
-      if (!(row >> value)) {
-        throw std::runtime_error("load_policy: truncated Q row");
-      }
-      staged.set(s, a, value);
-    }
-  }
-  learner.import_q(staged);
-}
 
 // --------------------------------------------------------------------------
 // v2 binary snapshots
@@ -169,6 +55,14 @@ struct V2Reader {
   std::istream& in;
   std::uint64_t hash = kFnvOffset;
 
+  /// Folds bytes read outside take_u64 (a magic, a row block) into the
+  /// running checksum.
+  void absorb(const unsigned char* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      hash ^= p[i];
+      hash *= kFnvPrime;
+    }
+  }
   std::uint64_t take_u64(const char* what) {
     char raw[8];
     if (!in.read(raw, 8)) {
@@ -231,10 +125,7 @@ V2Snapshot read_full_record(std::istream& in, const char* expect_magic,
   if (std::memcmp(magic, expect_magic, 8) != 0) {
     throw std::runtime_error(not_msg);
   }
-  for (const char c : magic) {
-    r.hash ^= static_cast<unsigned char>(c);
-    r.hash *= kFnvPrime;
-  }
+  r.absorb(reinterpret_cast<const unsigned char*>(magic), 8);
 
   V2Snapshot snap;
   snap.version = r.take_u64("version");
@@ -378,13 +269,14 @@ PolicyV2Info inspect_policy_v2(std::istream& in) {
 
 namespace {
 
-/// One parsed-and-verified delta record.
+/// One parsed-and-verified delta record. `rows` holds the changed rows in
+/// the shared codec's encoding, reused across a chain's records.
 struct V3Delta {
   std::uint64_t version = 0;
   std::uint64_t parent = 0;
-  std::vector<std::uint64_t> row_index;
-  std::vector<double> row_values;  ///< n_rows x n_actions, packed
-  std::size_t bytes = 0;           ///< on-disk record size
+  std::size_t n_rows = 0;
+  std::vector<unsigned char> rows;
+  std::size_t bytes = 0;  ///< on-disk record size
 };
 
 /// Reads the next delta record off `in`. Returns false — without throwing —
@@ -399,10 +291,7 @@ bool read_v3_delta(std::istream& in, std::size_t expect_actions,
   if (std::memcmp(magic, kPolicyV3DeltaMagic, 8) != 0) return false;
 
   V2Reader r{in};
-  for (const char c : magic) {
-    r.hash ^= static_cast<unsigned char>(c);
-    r.hash *= kFnvPrime;
-  }
+  r.absorb(reinterpret_cast<const unsigned char*>(magic), 8);
   try {
     out.version = r.take_u64("delta version");
     out.parent = r.take_u64("delta parent");
@@ -412,21 +301,20 @@ bool read_v3_delta(std::istream& in, std::size_t expect_actions,
         n_actions != expect_actions || n_rows > num_states) {
       return false;
     }
-    out.row_index.clear();
-    out.row_values.clear();
-    out.row_index.reserve(n_rows);
-    out.row_values.reserve(n_rows * n_actions);
-    for (std::uint64_t i = 0; i < n_rows; ++i) {
-      const std::uint64_t row = r.take_u64("delta row index");
-      if (row >= num_states) return false;
-      out.row_index.push_back(row);
-      for (std::uint64_t a = 0; a < n_actions; ++a) {
-        out.row_values.push_back(r.take_f64("delta row value"));
-      }
+    out.n_rows = static_cast<std::size_t>(n_rows);
+    out.rows.resize(out.n_rows * (1 + expect_actions) * 8);
+    if (!in.read(reinterpret_cast<char*>(out.rows.data()),
+                 static_cast<std::streamsize>(out.rows.size()))) {
+      return false;
     }
+    r.absorb(out.rows.data(), out.rows.size());
     const std::uint64_t expected = r.hash;
     if (r.take_checksum() != expected) return false;
-    out.bytes = 8 * (5 + out.row_index.size() * (1 + n_actions) + 1);
+    if (!changed_rows_valid(out.rows.data(), out.n_rows, num_states,
+                            expect_actions)) {
+      return false;
+    }
+    out.bytes = 8 * 6 + out.rows.size();
     return true;
   } catch (const std::runtime_error&) {
     return false;  // short read: torn tail
@@ -501,6 +389,28 @@ unsigned char* encode_changed_rows(const rl::QTable& base, const rl::QTable& q,
   return dst;
 }
 
+bool changed_rows_valid(const unsigned char* src, std::size_t n_rows,
+                        std::size_t num_states, std::size_t num_actions) {
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (util::wire::load_u64(src) >= num_states) return false;
+    src += 8 * (1 + num_actions);
+  }
+  return true;
+}
+
+const unsigned char* apply_changed_rows(const unsigned char* src,
+                                        std::size_t n_rows, rl::QTable& q) {
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const auto row = static_cast<rl::StateId>(util::wire::load_u64(src));
+    src += 8;
+    for (double& v : q.row_mut(row)) {
+      v = util::wire::load_f64(src);
+      src += 8;
+    }
+  }
+  return src;
+}
+
 std::string encode_policy_v3_delta(const rl::QTable& base,
                                    const rl::QTable& q,
                                    std::uint64_t version,
@@ -541,6 +451,14 @@ PolicyV3Chain load_policy_v3(std::istream& in,
     throw std::runtime_error("load_policy_v3: Q-table dimension mismatch");
   }
 
+  // The anchor validated: commit it. Each delta is then applied only after
+  // its own record validates, so `q` always holds the longest valid prefix.
+  std::size_t i = 0;
+  for (rl::StateId s = 0; s < q.num_states(); ++s) {
+    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
+      q.set(s, a, snap.q[i++]);
+    }
+  }
   PolicyV3Chain chain;
   chain.version = snap.version;
   V3Delta delta;
@@ -551,22 +469,9 @@ PolicyV3Chain load_policy_v3(std::istream& in,
       chain.tail_skipped = true;
       break;
     }
-    std::size_t src = 0;
-    for (std::size_t i = 0; i < delta.row_index.size(); ++i) {
-      const std::size_t dst = delta.row_index[i] * snap.num_actions;
-      for (std::size_t a = 0; a < snap.num_actions; ++a) {
-        snap.q[dst + a] = delta.row_values[src++];
-      }
-    }
+    apply_changed_rows(delta.rows.data(), delta.n_rows, q);
     chain.version = delta.version;
     ++chain.deltas_applied;
-  }
-
-  std::size_t i = 0;
-  for (rl::StateId s = 0; s < q.num_states(); ++s) {
-    for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
-      q.set(s, a, snap.q[i++]);
-    }
   }
   return chain;
 }
@@ -735,7 +640,7 @@ std::uint64_t load_policy_bundle(std::istream& in,
 }
 
 PolicyFormat detect_policy_format(std::istream& in) {
-  char head[16] = {};
+  char head[8] = {};
   in.read(head, sizeof(head));
   const std::streamsize got = in.gcount();
   in.clear();
@@ -745,9 +650,6 @@ PolicyFormat detect_policy_format(std::istream& in) {
   }
   if (got >= 8 && std::memcmp(head, kPolicyV3Magic, 8) == 0) {
     return PolicyFormat::kBinaryV3;
-  }
-  if (got >= 16 && std::memcmp(head, kMagic, 16) == 0) {
-    return PolicyFormat::kTextV1;
   }
   return PolicyFormat::kUnknown;
 }
@@ -765,14 +667,10 @@ std::uint64_t load_policy_any(std::istream& in, RoutineLearner& learner) {
       learner.import_q(staged);
       return chain.version;
     }
-    case PolicyFormat::kTextV1:
-      load_policy(in, learner);
-      return 0;  // v1 snapshots predate versioning
     case PolicyFormat::kUnknown:
       break;
   }
-  throw std::runtime_error(
-      "load_policy_any: not a v1, v2, or v3 policy snapshot");
+  throw std::runtime_error("load_policy_any: not a v2 or v3 policy snapshot");
 }
 
 }  // namespace coreda::planning

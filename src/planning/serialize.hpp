@@ -10,20 +10,6 @@
 
 namespace coreda::planning {
 
-/// Writes a trained policy snapshot — the Q table plus the state/action
-/// vocabularies that give its indices meaning — as a line-oriented text
-/// format ("coreda-policy v1"). A deployment saves after the training
-/// phase so a server restart does not cost the user their learned routine.
-void save_policy(std::ostream& out, const RoutineLearner& learner);
-
-/// Restores a snapshot produced by save_policy into `learner`.
-///
-/// The learner must be built over the same ADL: step and tool
-/// vocabularies are validated and a std::runtime_error is thrown on any
-/// mismatch (or on a malformed/truncated snapshot), leaving the learner
-/// unchanged on failure.
-void load_policy(std::istream& in, RoutineLearner& learner);
-
 // ---------------------------------------------------------------------------
 // "coreda-policy v2" — the compact binary snapshot the serving tier uses
 // (serve::PolicyStore). Layout, all integers little-endian u64, doubles as
@@ -43,7 +29,7 @@ void load_policy(std::istream& in, RoutineLearner& learner);
 // The trailing checksum rejects torn or bit-flipped files; the vocabularies
 // reject a snapshot from a different ADL. Loads stage into a scratch table
 // and only commit on full validation, so the destination is never left
-// half-written — the same contract as the v1 text loader.
+// half-written.
 // ---------------------------------------------------------------------------
 
 /// The 8 magic bytes opening every v2 snapshot.
@@ -147,8 +133,9 @@ std::string encode_policy_v3_delta(const rl::QTable& base,
 // Shared changed-row codec. Both the v3 snapshot files above and the fleet
 // tier's segment delta records (serve/segment_store) encode "rows of q that
 // differ bitwise from base" the same way: u64 row index followed by
-// num_actions LE f64 values per changed row. These two helpers are that
-// codec; keeping them here means the formats cannot drift apart.
+// num_actions LE f64 values per changed row. These four helpers are that
+// codec, both halves; keeping them here means the formats cannot drift
+// apart.
 
 /// Number of rows where `q` differs bitwise from `base` (shapes must match —
 /// std::invalid_argument). Allocation-free.
@@ -159,6 +146,18 @@ std::size_t count_changed_rows(const rl::QTable& base, const rl::QTable& q);
 /// one past the last byte written. Allocation-free.
 unsigned char* encode_changed_rows(const rl::QTable& base, const rl::QTable& q,
                                    unsigned char* dst);
+
+/// Decode-side validation: true when each of the `n_rows` encoded rows at
+/// `src` names a row below `num_states`. Rows are 8 * (1 + num_actions)
+/// bytes apart. Allocation-free.
+bool changed_rows_valid(const unsigned char* src, std::size_t n_rows,
+                        std::size_t num_states, std::size_t num_actions);
+
+/// Writes each of the `n_rows` encoded rows at `src` into its row of `q`.
+/// The rows must have passed changed_rows_valid for q's shape. Returns one
+/// past the last byte read. Allocation-free.
+const unsigned char* apply_changed_rows(const unsigned char* src,
+                                        std::size_t n_rows, rl::QTable& q);
 
 /// Result of loading a v3 chain.
 struct PolicyV3Chain {
@@ -252,12 +251,12 @@ std::uint64_t load_policy_bundle(std::istream& in,
 
 /// Snapshot format sniffing for operator tooling: peeks at the stream head
 /// and rewinds. kUnknown means no magic matched.
-enum class PolicyFormat { kUnknown, kTextV1, kBinaryV2, kBinaryV3 };
+enum class PolicyFormat { kUnknown, kBinaryV2, kBinaryV3 };
 PolicyFormat detect_policy_format(std::istream& in);
 
-/// Loads either format into `learner` (v1 text snapshots predate versioning
-/// and report version 0). Throws std::runtime_error when the stream is
-/// neither format or fails its format's validation.
+/// Loads a v2 snapshot or a v3 chain into `learner` and returns its
+/// version. Throws std::runtime_error when the stream is neither format or
+/// fails its format's validation; the learner is unchanged on failure.
 std::uint64_t load_policy_any(std::istream& in, RoutineLearner& learner);
 
 }  // namespace coreda::planning

@@ -100,7 +100,7 @@ void PolicyStore::stage(UserId user, const rl::QTable& q) {
   ++e.staged;
   ++e.unflushed;
   if (!params_.dir.empty() && e.unflushed >= params_.flush_every) {
-    persist_snapshot(user, e);
+    persist(user, e);
     ++e.disk;
     e.unflushed = 0;
   }
@@ -109,7 +109,7 @@ void PolicyStore::stage(UserId user, const rl::QTable& q) {
 void PolicyStore::flush(UserId user) {
   Entry& e = entry(user);
   if (params_.dir.empty() || e.unflushed == 0) return;
-  persist_snapshot(user, e);
+  persist(user, e);
   ++e.disk;
   e.unflushed = 0;
 }
@@ -118,7 +118,7 @@ void PolicyStore::flush_all() {
   for (UserId u = 0; u < entries_.size(); ++u) flush(u);
 }
 
-void PolicyStore::persist_snapshot(UserId user, Entry& e) {
+void PolicyStore::persist(UserId user, Entry& e) {
   const std::string path = params_.dir + "/" + e.name + ".policy";
   const std::string tmp = path + ".tmp";
 
@@ -211,40 +211,36 @@ void PolicyStore::persist_snapshot(UserId user, Entry& e) {
   }
 }
 
-std::optional<std::uint64_t> PolicyStore::read_snapshot(UserId user,
-                                                        rl::QTable& staged) {
+std::optional<std::uint64_t> PolicyStore::restore(UserId user) {
+  Entry& e = entry(user);
   if (params_.dir.empty()) return std::nullopt;
-  const std::string path = params_.dir + "/" + entry(user).name + ".policy";
+  const std::string path = path_for(user);
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   // Sniff the committed format rather than assuming the configured one:
   // a v3 store restores v2 files transparently (and rebases them to v3 on
-  // the next flush), and vice versa — which is all `policy migrate` needs.
+  // the next flush), and vice versa. The entry is written only after the
+  // whole snapshot validates.
+  rl::QTable staged(e.q.num_states(), e.q.num_actions());
   switch (planning::detect_policy_format(in)) {
     case planning::PolicyFormat::kBinaryV2:
-      return planning::load_policy_v2(in, steps_, tools_, staged);
+      e.version = planning::load_policy_v2(in, steps_, tools_, staged);
+      break;
     case planning::PolicyFormat::kBinaryV3:
-      return planning::load_policy_v3(in, steps_, tools_, staged).version;
+      e.version = planning::load_policy_v3(in, steps_, tools_, staged).version;
+      break;
     default:
       throw std::runtime_error("PolicyStore: unrecognized snapshot format in " +
                                path);
   }
-}
-
-std::optional<std::uint64_t> PolicyStore::restore(UserId user) {
-  Entry& e = entry(user);
-  rl::QTable staged(e.q.num_states(), e.q.num_actions());
-  const std::optional<std::uint64_t> version = read_snapshot(user, staged);
-  if (!version) return std::nullopt;
   e.q = staged;
-  e.version = *version;
   e.unflushed = 0;
   // In v3 mode the chain may have lost a torn tail (or the file may be v2):
   // drop the diff base so the next flush rewrites a clean full anchor
   // instead of appending to an uncertain chain.
   e.flushed.reset();
   e.chain_deltas = 0;
-  return version;
+  return e.version;
 }
 
 std::uint64_t PolicyStore::staged_writes() const noexcept {

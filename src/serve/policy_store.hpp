@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -19,7 +18,7 @@ namespace coreda::serve {
 /// path — no string lookups per session.
 using UserId = std::uint32_t;
 
-/// On-disk snapshot encoding of the per-file PolicyStore backend.
+/// On-disk snapshot encoding of a PolicyStore's per-user files.
 enum class SnapshotFormat : std::uint8_t {
   kV2 = 2,       ///< one full "coreda-policy v2" record per flush
   kV3Delta = 3,  ///< v3 anchor + appended changed-row delta records
@@ -57,16 +56,9 @@ struct PolicyStoreParams {
 /// checks a user's table out (import_policy), serves, and stages the table
 /// back. Every stage bumps the user's version monotonically, so operators
 /// can tell a stale snapshot from a current one, and a warm restart
-/// (restore()) resumes from the last flushed version.
-///
-/// The class is open for alternative persistence backends: the staging /
-/// versioning / wear-batching logic lives here, while the four protected
-/// virtuals (persist_snapshot, read_snapshot, path_for,
-/// set_pre_publish_hook) define where bytes actually land. The base class
-/// writes one v2 snapshot file per user; SegmentPolicyStore
-/// (segment_store.hpp) overrides the seam to append into a memory-mapped
-/// segmented store instead, without ServeEngine or RetrainScheduler
-/// noticing the difference.
+/// (restore()) resumes from the last flushed version. Persistence is one
+/// snapshot file per user (see PolicyStoreParams); the fleet tier's shared
+/// segment files are serve::SegmentStore, driven directly by FleetEngine.
 ///
 /// Thread-safety: add_user() and restore() are setup-phase only. stage()
 /// and the per-user readers may be called concurrently for *different*
@@ -85,20 +77,17 @@ class PolicyStore {
 
   /// Flushes every dirty entry (best effort — errors are swallowed, a
   /// destructor cannot throw; call flush_all() first to observe failures).
-  /// Derived stores must flush in their own destructor: by the time this
-  /// one runs, virtual dispatch has already fallen back to the base
-  /// persistence.
-  virtual ~PolicyStore();
+  ~PolicyStore();
 
   PolicyStore(const PolicyStore&) = delete;
   PolicyStore& operator=(const PolicyStore&) = delete;
 
   /// Registers a user starting from the reference policy. Not callable
   /// while sessions are being served (entry references would move).
-  virtual UserId add_user(std::string name);
+  UserId add_user(std::string name);
   /// Registers a user with an explicit starting table (must match the
   /// reference shape; throws std::invalid_argument otherwise).
-  virtual UserId add_user(std::string name, const rl::QTable& initial);
+  UserId add_user(std::string name, const rl::QTable& initial);
 
   std::size_t num_users() const noexcept { return entries_.size(); }
   const std::string& user_name(UserId user) const;
@@ -132,42 +121,30 @@ class PolicyStore {
   /// the retrain bench gates.
   std::uint64_t flush_bytes() const noexcept;
 
-  /// Snapshot location for a user; empty when memory-only. The per-file
-  /// base store returns `<dir>/<name>.policy`; a segmented store returns
-  /// its directory (users share segments there).
-  virtual std::string path_for(UserId user) const;
+  /// Snapshot location for a user, `<dir>/<name>.policy`; empty when
+  /// memory-only.
+  std::string path_for(UserId user) const;
 
   /// The crash seam, as a faults::Site: evaluated with the publish target
   /// after the snapshot body is fully written but *before* the rename (v2 /
   /// v3 anchor) or before any byte lands (v3 delta append). A crash here —
   /// a throwing test hook or a planned faults::InjectedCrash — leaves the
   /// committed snapshot untouched and the entry still unflushed, so a later
-  /// flush retries. SegmentPolicyStore returns the segment store's site:
-  /// both backends expose ONE seam with ONE contract.
-  virtual faults::Site& pre_publish_site() noexcept {
-    return pre_publish_site_;
-  }
+  /// flush retries. SegmentStore's seam has the same contract.
+  faults::Site& pre_publish_site() noexcept { return pre_publish_site_; }
 
   /// Arms this store's fault sites (crash + snapshot-byte corruption)
   /// against `injector`'s plan. Setup-phase only.
-  virtual void attach_faults(faults::Injector& injector) {
+  void attach_faults(faults::Injector& injector) {
     injector.attach(pre_publish_site_);
     injector.attach(corrupt_site_);
-  }
-
-  /// Deprecated: the raw hook setter predates coreda::faults. Routes into
-  /// pre_publish_site().set_hook() so legacy callers keep working with the
-  /// unified contract.
-  [[deprecated("use pre_publish_site().set_hook()")]] void
-  set_pre_publish_hook(std::function<void(const std::string&)> hook) {
-    pre_publish_site().set_hook(std::move(hook));
   }
 
   std::span<const adl::StepId> steps() const noexcept { return steps_; }
   std::span<const adl::ToolId> tools() const noexcept { return tools_; }
   const PolicyStoreParams& params() const noexcept { return params_; }
 
- protected:
+ private:
   struct Entry {
     std::string name;
     rl::QTable q;
@@ -188,20 +165,12 @@ class PolicyStore {
   Entry& entry(UserId user);
   const Entry& entry(UserId user) const;
 
-  /// Backend seam: durably record `e` (table + version) for `user`. The
-  /// base implementation writes `<dir>/<name>.policy.tmp` then renames.
-  /// Must be atomic-publish (a crash mid-write leaves the previous
-  /// committed snapshot readable) and must leave `e.unflushed`/`e.disk`
-  /// untouched — the caller accounts for wear after a successful return.
-  virtual void persist_snapshot(UserId user, Entry& e);
-
-  /// Backend seam: load the committed snapshot for `user` into `staged`
-  /// (already shaped like the reference table) and return its version;
-  /// nullopt when the backend is memory-only or holds nothing for this
-  /// user; std::runtime_error when the committed bytes are corrupt. Must
-  /// not touch the resident entry — restore() commits only on success.
-  virtual std::optional<std::uint64_t> read_snapshot(UserId user,
-                                                     rl::QTable& staged);
+  /// Durably records `e` (table + version) for `user`: a v2/v3 full
+  /// snapshot via `<dir>/<name>.policy.tmp` + rename, or a v3 delta append.
+  /// A crash mid-write leaves the previous committed snapshot readable.
+  /// Leaves `e.unflushed`/`e.disk` untouched — the caller accounts for wear
+  /// after a successful return.
+  void persist(UserId user, Entry& e);
 
   PolicyStoreParams params_;
   std::vector<adl::StepId> steps_;

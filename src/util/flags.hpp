@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -41,6 +43,9 @@ class Flags {
   double get_double(const std::string& key, double fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
+  /// A count (sizes, rounds, lanes): like get_int, but a negative value
+  /// also throws std::invalid_argument instead of wrapping to a huge size.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
 
   /// Every flag key that was supplied (for unknown-flag validation).
   std::vector<std::string> keys() const;

@@ -26,10 +26,10 @@ struct SerializeFixture : ::testing::Test {
 TEST_F(SerializeFixture, RoundTripPreservesEveryQValue) {
   RoutineLearner source = trained();
   std::stringstream buffer;
-  save_policy(buffer, source);
+  save_policy_v2(buffer, source);
 
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  load_policy_v2(buffer, restored);
 
   for (rl::StateId s = 0; s < source.q().num_states(); ++s) {
     for (rl::ActionId a = 0; a < source.q().num_actions(); ++a) {
@@ -42,9 +42,9 @@ TEST_F(SerializeFixture, RoundTripPreservesEveryQValue) {
 TEST_F(SerializeFixture, RestoredLearnerPredictsIdentically) {
   RoutineLearner source = trained();
   std::stringstream buffer;
-  save_policy(buffer, source);
+  save_policy_v2(buffer, source);
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  load_policy_v2(buffer, restored);
 
   for (const PlannerState& state : source.predicting_states()) {
     const auto a = source.predict(state);
@@ -57,37 +57,37 @@ TEST_F(SerializeFixture, RestoredLearnerPredictsIdentically) {
 TEST_F(SerializeFixture, WrongAdlRejected) {
   RoutineLearner source = trained();
   std::stringstream buffer;
-  save_policy(buffer, source);
+  save_policy_v2(buffer, source);
   RoutineLearner other(library.tooth_brushing(), util::Rng(99));
-  EXPECT_THROW(load_policy(buffer, other), std::runtime_error);
+  EXPECT_THROW(load_policy_v2(buffer, other), std::runtime_error);
 }
 
 TEST_F(SerializeFixture, GarbageRejected) {
   std::stringstream buffer("not a policy at all\n");
   RoutineLearner learner(library.tea_making(), util::Rng(1));
-  EXPECT_THROW(load_policy(buffer, learner), std::runtime_error);
+  EXPECT_THROW(load_policy_v2(buffer, learner), std::runtime_error);
 }
 
 TEST_F(SerializeFixture, TruncatedSnapshotLeavesLearnerUnchanged) {
   RoutineLearner source = trained();
   std::stringstream buffer;
-  save_policy(buffer, source);
+  save_policy_v2(buffer, source);
   std::string text = buffer.str();
   text.resize(text.size() * 2 / 3);  // chop the tail of the Q rows
 
   RoutineLearner victim(library.tea_making(), util::Rng(2));
   const double before = victim.q().get(0, 0);
   std::stringstream truncated(text);
-  EXPECT_THROW(load_policy(truncated, victim), std::runtime_error);
+  EXPECT_THROW(load_policy_v2(truncated, victim), std::runtime_error);
   EXPECT_DOUBLE_EQ(victim.q().get(0, 0), before);
 }
 
 TEST_F(SerializeFixture, RestoredLearnerCanKeepTraining) {
   RoutineLearner source = trained();
   std::stringstream buffer;
-  save_policy(buffer, source);
+  save_policy_v2(buffer, source);
   RoutineLearner restored(library.tea_making(), util::Rng(99));
-  load_policy(buffer, restored);
+  load_policy_v2(buffer, restored);
 
   const std::vector<adl::StepId> steps{T::kTeaBox, T::kElectricPot,
                                        T::kKettle, T::kTeaCup};

@@ -128,13 +128,14 @@ TEST_F(PolicyStoreFixture, InspectFlagsBadChecksumWithoutThrowing) {
 TEST_F(PolicyStoreFixture, DetectAndLoadAnyCoverBothFormats) {
   planning::RoutineLearner source = trained();
 
-  std::stringstream v1;
-  planning::save_policy(v1, source);
-  EXPECT_EQ(planning::detect_policy_format(v1),
-            planning::PolicyFormat::kTextV1);
-  planning::RoutineLearner from_v1(library.tea_making(), util::Rng(3));
-  EXPECT_EQ(planning::load_policy_any(v1, from_v1), 0u);  // v1: no version
-  EXPECT_DOUBLE_EQ(from_v1.greedy_accuracy(), 1.0);
+  std::stringstream v3;
+  planning::save_policy_v3_full(v3, source.state_codec().symbols(),
+                                source.action_codec().tools(), source.q(), 4);
+  EXPECT_EQ(planning::detect_policy_format(v3),
+            planning::PolicyFormat::kBinaryV3);
+  planning::RoutineLearner from_v3(library.tea_making(), util::Rng(3));
+  EXPECT_EQ(planning::load_policy_any(v3, from_v3), 4u);
+  EXPECT_EQ(v2_bytes(from_v3, 9), v2_bytes(source, 9));
 
   std::stringstream v2(v2_bytes(source, 9));
   EXPECT_EQ(planning::detect_policy_format(v2),
@@ -142,6 +143,11 @@ TEST_F(PolicyStoreFixture, DetectAndLoadAnyCoverBothFormats) {
   planning::RoutineLearner from_v2(library.tea_making(), util::Rng(3));
   EXPECT_EQ(planning::load_policy_any(v2, from_v2), 9u);
   EXPECT_EQ(v2_bytes(from_v2, 9), v2_bytes(source, 9));
+
+  // The retired v1 text format is not a snapshot any more.
+  std::stringstream v1_text("coreda-policy v1\nsteps 0\n");
+  EXPECT_EQ(planning::detect_policy_format(v1_text),
+            planning::PolicyFormat::kUnknown);
 
   std::stringstream junk("neither format");
   EXPECT_EQ(planning::detect_policy_format(junk),

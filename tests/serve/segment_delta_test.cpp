@@ -13,9 +13,8 @@
 //   * crash injection at the compaction-rebase publish seam: a mid-rebase
 //     crash leaves every user readable at its latest version, a restart
 //     agrees, and the retry completes the compaction;
-//   * a hand-written legacy "CRDASEG1" segment imports: its records load
-//     bit-exact, new appends land in v2 segments, and both generations
-//     coexist across a reopen.
+//   * a hand-written retired "CRDASEG1" segment is rejected: the store
+//     refuses to open and names the file, and inspect counts it corrupt.
 
 #include <gtest/gtest.h>
 
@@ -392,17 +391,17 @@ TEST_F(SegmentDeltaFixture, CrashAtCompactionRebasePublishKeepsEveryUser) {
   }
 }
 
-TEST_F(SegmentDeltaFixture, HandWrittenLegacySegmentImportsAndCoexists) {
+TEST_F(SegmentDeltaFixture, HandWrittenLegacySegmentFailsToOpen) {
   const std::string dir = fresh_dir("legacy");
   SegmentStoreParams p;
   p.dir = dir;
   { open(p); }  // writes store.meta, no segments yet
 
-  // Write a v1 segment by hand: "CRDASEG1" header, two fixed-stride
-  // "CRDAREC1" records (u64 magic, user, version, q_count, 30 x f64,
-  // FNV-1a checksum), two never-published slots of zeros.
+  // Write a retired v1 segment by hand: "CRDASEG1" header, two
+  // fixed-stride "CRDAREC1" records (u64 magic, user, version, q_count,
+  // 30 x f64, FNV-1a checksum), two never-published slots of zeros.
   const std::size_t rec_bytes = 8 * (4 + kStates * kActions) + 8;
-  const rl::QTable q0 = table(61), q1 = table(62);
+  const std::string path = dir + "/seg-w0-000000.seg";
   {
     std::vector<unsigned char> buf(kHeaderBytes + 4 * rec_bytes, 0);
     std::memcpy(buf.data(), "CRDASEG1", 8);
@@ -427,47 +426,34 @@ TEST_F(SegmentDeltaFixture, HandWrittenLegacySegmentImportsAndCoexists) {
       wire::store_u64(rec + rec_bytes - 8,
                       wire::fnv1a(rec + 8, rec_bytes - 16));
     };
-    put_record(0, 0, 3, q0);
-    put_record(1, 1, 5, q1);
-    std::ofstream out(dir + "/seg-w0-000000.seg",
-                      std::ios::binary | std::ios::trunc);
+    put_record(0, 0, 3, table(61));
+    put_record(1, 1, 5, table(62));
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(buf.data()),
               static_cast<std::streamsize>(buf.size()));
     ASSERT_TRUE(out.flush());
   }
 
-  // The v1 records are fully readable through the v2 store.
-  auto store = open(p);
-  EXPECT_EQ(store->scanned_records(), 2u);
-  rl::QTable out(kStates, kActions);
-  ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{3});
-  EXPECT_TRUE(bit_equal(out, q0));
-  ASSERT_EQ(store->load(1, out), std::optional<std::uint64_t>{5});
-  EXPECT_TRUE(bit_equal(out, q1));
+  // The format is retired: opening the store fails loudly, naming the file,
+  // rather than serving those users from the reference policy.
+  try {
+    open(p);
+    FAIL() << "a CRDASEG1 segment must not open";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("header does not match"),
+              std::string::npos)
+        << e.what();
+  }
 
-  // New appends land in a fresh v2 segment — legacy segments are never
-  // appended to — and supersede the legacy records.
-  const rl::QTable q0b = touched(q0, 1, -9.0);
-  store->append(0, q0b, 4);
-  EXPECT_EQ(store->anchor_records_written(), 1u);  // new segment: anchor
-  EXPECT_EQ(store->num_segments(), 2u);
-  ASSERT_EQ(store->load(0, out), std::optional<std::uint64_t>{4});
-  EXPECT_TRUE(bit_equal(out, q0b));
-  ASSERT_EQ(store->load(1, out), std::optional<std::uint64_t>{5});
-
-  // Both generations coexist across a reopen; inspect sees them too.
-  store.reset();
-  auto reopened = open(p);
-  ASSERT_EQ(reopened->load(0, out), std::optional<std::uint64_t>{4});
-  EXPECT_TRUE(bit_equal(out, q0b));
-  ASSERT_EQ(reopened->load(1, out), std::optional<std::uint64_t>{5});
-  EXPECT_TRUE(bit_equal(out, q1));
+  // Offline inspection still summarizes the directory and flags the file.
   const SegmentStore::Info info = SegmentStore::inspect(dir);
-  ASSERT_EQ(info.segment_details.size(), 2u);
-  EXPECT_TRUE(info.segment_details[0].legacy);
-  EXPECT_FALSE(info.segment_details[1].legacy);
-  EXPECT_EQ(info.users, 2u);
-  EXPECT_EQ(info.max_version, 5u);
+  EXPECT_TRUE(info.meta_ok);
+  EXPECT_EQ(info.segments, 1u);
+  EXPECT_EQ(info.records, 0u);
+  EXPECT_EQ(info.corrupt_records, 1u);
+  EXPECT_EQ(info.users, 0u);
 }
 
 }  // namespace

@@ -13,10 +13,7 @@
 //     previous version, the half-written slot is invisible to a restart
 //     and gets overwritten by the retry;
 //   * compaction preserves every user's latest version and actually
-//     returns disk space (segment files are unlinked);
-//   * SegmentPolicyStore is a drop-in PolicyStore: the ServeEngine drains
-//     the same sessions to the same checksums over either backend, and v2
-//     per-file snapshots import.
+//     returns disk space (segment files are unlinked).
 
 #include "serve/segment_store.hpp"
 
@@ -27,8 +24,6 @@
 #include <fstream>
 #include <vector>
 
-#include "adl/library.hpp"
-#include "serve/engine.hpp"
 #include "util/rng.hpp"
 
 namespace coreda::serve {
@@ -335,164 +330,6 @@ TEST_F(SegmentStoreFixture, InspectSummarizesAStoreDirectory) {
   EXPECT_EQ(info.max_version, 5u);
   EXPECT_DOUBLE_EQ(info.mean_chain_length, 1.0);
   ASSERT_EQ(info.segment_details.size(), info.segments);
-}
-
-// ---------------------------------------------------------------------------
-// SegmentPolicyStore: the drop-in proof.
-// ---------------------------------------------------------------------------
-
-namespace T = adl::tools;
-
-struct SegmentPolicyFixture : ::testing::Test {
-  adl::AdlLibrary library;
-
-  planning::RoutineLearner trained(std::uint64_t seed = 5) {
-    planning::RoutineLearner learner(library.tea_making(), util::Rng(seed));
-    const std::vector<adl::StepId> routine{T::kTeaBox, T::kElectricPot,
-                                           T::kKettle, T::kTeaCup};
-    for (int i = 0; i < 80; ++i) learner.train_episode(routine);
-    return learner;
-  }
-
-  std::string fresh_dir(const char* name) {
-    const std::string dir = ::testing::TempDir() + "/coreda_segpol_" + name;
-    fs::remove_all(dir);
-    return dir;
-  }
-};
-
-TEST_F(SegmentPolicyFixture, ServeEngineDrainsIdenticallyOverEitherBackend) {
-  planning::RoutineLearner donor = trained();
-  PolicyStoreParams file_params;
-  file_params.dir = fresh_dir("files");
-  file_params.flush_every = 2;
-  PolicyStore file_store(donor, file_params);
-
-  SegmentPolicyStoreParams seg_params;
-  seg_params.dir = fresh_dir("segments");
-  seg_params.flush_every = 2;
-  seg_params.writers = 3;
-  SegmentPolicyStore seg_store(donor, seg_params);
-
-  ServeEngineParams engine_params;
-  engine_params.pool.slots = 3;
-  ServeEngine file_engine(library, library.tea_making(), file_store,
-                          engine_params);
-  ServeEngine seg_engine(library, library.tea_making(), seg_store,
-                         engine_params);
-  for (int u = 0; u < 9; ++u) {
-    const std::string name = "user" + std::to_string(u);
-    patient::PatientProfile profile =
-        patient::PatientProfile::with_severity(name, 0.1 * u / 9.0 + 0.2);
-    file_engine.add_user(name, profile);
-    seg_engine.add_user(name, profile);
-  }
-  for (int round = 0; round < 4; ++round) {
-    for (UserId u = 0; u < 9; ++u) {
-      file_engine.enqueue(u, 2);
-      seg_engine.enqueue(u, 2);
-    }
-  }
-  exec::TrialRunner runner(1);
-  const ServeReport file_report = file_engine.drain(runner);
-  const ServeReport seg_report = seg_engine.drain(runner);
-
-  EXPECT_EQ(file_report.sessions, seg_report.sessions);
-  EXPECT_EQ(file_report.checksum, seg_report.checksum);
-  EXPECT_EQ(file_report.prompts, seg_report.prompts);
-  EXPECT_EQ(file_report.pool_hits, seg_report.pool_hits);
-  EXPECT_EQ(file_report.staged_writes, seg_report.staged_writes);
-  EXPECT_EQ(file_report.disk_writes, seg_report.disk_writes);
-  for (UserId u = 0; u < 9; ++u) {
-    EXPECT_EQ(file_store.version(u), seg_store.version(u)) << "user " << u;
-  }
-  EXPECT_GT(seg_store.segments().appends(), 0u);
-}
-
-TEST_F(SegmentPolicyFixture, RestoreReadsTheNewestFlushedRecordAfterRestart) {
-  planning::RoutineLearner donor = trained();
-  const std::string dir = fresh_dir("restore");
-  rl::QTable staged_q = donor.q();
-  {
-    SegmentPolicyStoreParams params;
-    params.dir = dir;
-    params.flush_every = 1;
-    SegmentPolicyStore store(donor, params);
-    const UserId u = store.add_user("tanaka");
-    store.stage(u, staged_q);  // version 2, flushed immediately
-    store.stage(u, staged_q);  // version 3
-  }
-  planning::RoutineLearner same_donor = trained();
-  SegmentPolicyStoreParams params;
-  params.dir = dir;
-  SegmentPolicyStore reader(same_donor, params);
-  const UserId u = reader.add_user("tanaka");
-  EXPECT_EQ(reader.restore(u), std::optional<std::uint64_t>{3});
-  EXPECT_TRUE(bit_equal(reader.q(u), staged_q));
-  // An unknown user restores to nothing, exactly like the per-file store.
-  const UserId fresh = reader.add_user("nobody");
-  EXPECT_EQ(reader.restore(fresh), std::nullopt);
-}
-
-TEST_F(SegmentPolicyFixture, CrashInjectedStageKeepsCommittedVersionReadable) {
-  planning::RoutineLearner donor = trained();
-  const std::string dir = fresh_dir("crash");
-  SegmentPolicyStoreParams params;
-  params.dir = dir;
-  params.flush_every = 1;
-  SegmentPolicyStore store(donor, params);
-  const UserId u = store.add_user("tanaka");
-  store.stage(u, donor.q());  // version 2 committed
-  ASSERT_EQ(store.segments().latest_version(u), std::optional<std::uint64_t>{2});
-
-  store.pre_publish_site().set_hook([](const std::string&) {
-    throw std::runtime_error("injected crash before the magic publish");
-  });
-  EXPECT_THROW(store.stage(u, donor.q()), std::runtime_error);
-  EXPECT_EQ(store.version(u), 3u);  // the in-memory entry did advance
-  EXPECT_EQ(store.segments().latest_version(u),
-            std::optional<std::uint64_t>{2});
-
-  // Crash over: the dirty entry flushes on the next attempt.
-  store.pre_publish_site().set_hook(nullptr);
-  store.flush(u);
-  EXPECT_EQ(store.segments().latest_version(u),
-            std::optional<std::uint64_t>{3});
-  EXPECT_EQ(store.disk_writes(), 2u);  // the crashed attempt cost no wear
-}
-
-TEST_F(SegmentPolicyFixture, ImportV2DirAdoptsPerFileSnapshots) {
-  planning::RoutineLearner donor = trained();
-  const std::string v2_dir = fresh_dir("v2files");
-  rl::QTable staged_q = donor.q();
-  staged_q.set(0, 0, 1234.5);
-  {
-    PolicyStoreParams params;
-    params.dir = v2_dir;
-    params.flush_every = 1;
-    PolicyStore legacy(donor, params);
-    legacy.add_user("alice");
-    legacy.add_user("bob");
-    legacy.stage(0, staged_q);  // alice: version 2 on disk
-    legacy.stage(1, donor.q());
-    legacy.stage(1, donor.q());  // bob: version 3 on disk
-  }
-
-  SegmentPolicyStoreParams params;
-  params.dir = fresh_dir("migrated");
-  SegmentPolicyStore store(donor, params);
-  store.add_user("alice");
-  store.add_user("bob");
-  store.add_user("carol");  // no snapshot: untouched by the import
-  EXPECT_EQ(store.import_v2_dir(v2_dir), 2u);
-
-  EXPECT_EQ(store.version(0), 2u);
-  EXPECT_EQ(store.version(1), 3u);
-  EXPECT_EQ(store.version(2), 1u);
-  EXPECT_TRUE(bit_equal(store.q(0), staged_q));
-  EXPECT_EQ(store.segments().latest_version(0),
-            std::optional<std::uint64_t>{2});
-  EXPECT_EQ(store.segments().latest_version(2), std::nullopt);
 }
 
 }  // namespace

@@ -133,29 +133,32 @@ TEST(CliTest, PolicySaveLoadInspectV2RoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(CliTest, PolicyCommandsHandleV1Format) {
+// The v1 text format is retired: saving it is an option error that writes
+// nothing, and a v1 text file on disk is no longer a policy snapshot.
+TEST(CliTest, PolicySaveRejectsV1Format) {
   const std::string path = ::testing::TempDir() + "/cli_v1.policy";
-  const CliResult save =
-      run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-           "--episodes=80", "--format=v1"});
-  EXPECT_EQ(save.code, 0) << save.err;
+  std::remove(path.c_str());
+  for (const char* format : {"--format=v1", "--format=v9"}) {
+    const CliResult save = run({"policy", "save", "--adl=Tea-making",
+                                "--out=" + path, "--episodes=10", format});
+    EXPECT_EQ(save.code, 1) << format;
+    EXPECT_NE(save.err.find("v2 or v3"), std::string::npos) << format;
+    EXPECT_FALSE(std::filesystem::exists(path)) << format;
+  }
 
+  {
+    std::ofstream text(path);
+    text << "coreda-policy v1\nsteps 0 21 22\ntools 20 21 22\n";
+  }
+  const CliResult inspect = run({"policy", "inspect", "--in=" + path});
+  EXPECT_EQ(inspect.code, 2);
+  EXPECT_NE(inspect.err.find("not a coreda policy snapshot"),
+            std::string::npos);
   const CliResult load =
       run({"policy", "load", "--adl=Tea-making", "--in=" + path});
-  EXPECT_EQ(load.code, 0) << load.err;
-  EXPECT_NE(load.out.find("v1 (text)"), std::string::npos);
-
-  const CliResult inspect = run({"policy", "inspect", "--in=" + path});
-  EXPECT_EQ(inspect.code, 0) << inspect.err;
-  EXPECT_NE(inspect.out.find("coreda-policy v1"), std::string::npos);
+  EXPECT_EQ(load.code, 2);
+  EXPECT_NE(load.err.find("not a v2 or v3"), std::string::npos);
   std::remove(path.c_str());
-
-  // The legacy `prompt` command accepts v1 only; v2 comes in through
-  // `policy load` / the serving tier.
-  const CliResult bad_format =
-      run({"policy", "save", "--adl=Tea-making", "--out=" + path,
-           "--format=v9"});
-  EXPECT_EQ(bad_format.code, 1);
 }
 
 TEST(CliTest, PolicyInspectFlagsCorruption) {
@@ -223,8 +226,9 @@ TEST(CliTest, PolicyMigrateBuildsAnInspectableSegmentStore) {
 }
 
 // Mirror of policy_v3_test's round-trip at store granularity: v2 snapshots
-// migrated into a v2-segment store must read back bit-exact — same table,
-// same version — through a SegmentPolicyStore opened over the migrated dir.
+// migrated into a segment store must read back bit-exact — same table,
+// same version — through a SegmentStore reopened over the migrated dir.
+// User ids are the sorted snapshot names' positions.
 TEST(CliTest, PolicyMigrateRoundTripsTablesBitExact) {
   const std::string from = ::testing::TempDir() + "/cli_rt_v2";
   const std::string out = ::testing::TempDir() + "/cli_rt_store";
@@ -252,21 +256,21 @@ TEST(CliTest, PolicyMigrateRoundTripsTablesBitExact) {
   const auto steps = reference.state_codec().symbols();
   const auto tools = reference.action_codec().tools();
 
-  serve::SegmentPolicyStoreParams params;
+  serve::SegmentStoreParams params;
   params.dir = out;
-  serve::SegmentPolicyStore store(reference, params);
-  const serve::UserId alice = store.add_user("alice");
-  const serve::UserId bob = store.add_user("bob");
+  const serve::SegmentStore store(steps, tools, reference.q().num_states(),
+                                  reference.q().num_actions(), params);
+  EXPECT_EQ(store.user_ids(), (std::vector<std::uint64_t>{0, 1}));
 
-  const auto expect_matches = [&](serve::UserId user,
+  const auto expect_matches = [&](std::uint64_t user,
                                   const std::string& name,
                                   std::uint64_t version) {
     std::ifstream src(from + "/" + name + ".policy", std::ios::binary);
     rl::QTable expect(reference.q().num_states(),
                       reference.q().num_actions());
     ASSERT_EQ(planning::load_policy_v2(src, steps, tools, expect), version);
-    ASSERT_EQ(store.restore(user), version);
-    const rl::QTable& got = store.q(user);
+    rl::QTable got(reference.q().num_states(), reference.q().num_actions());
+    ASSERT_EQ(store.load(user, got), version);
     for (std::size_t s = 0; s < expect.num_states(); ++s) {
       for (std::size_t a = 0; a < expect.num_actions(); ++a) {
         ASSERT_EQ(got.get(static_cast<rl::StateId>(s),
@@ -277,8 +281,8 @@ TEST(CliTest, PolicyMigrateRoundTripsTablesBitExact) {
       }
     }
   };
-  expect_matches(alice, "alice", 3);
-  expect_matches(bob, "bob", 7);
+  expect_matches(0, "alice", 3);
+  expect_matches(1, "bob", 7);
   std::filesystem::remove_all(from);
   std::filesystem::remove_all(out);
 }
@@ -386,6 +390,24 @@ TEST(CliTest, PolicyMigrateRejectsBadInputs) {
   EXPECT_NE(not_store.err.find("store.meta"), std::string::npos);
 }
 
+// A negative lane count is a flag error, not a 2^64-lane allocation.
+TEST(CliTest, PolicyMigrateRejectsNegativeWriters) {
+  const std::string from = ::testing::TempDir() + "/cli_migrate_neg";
+  const std::string out = ::testing::TempDir() + "/cli_migrate_neg_out";
+  std::filesystem::remove_all(from);
+  std::filesystem::create_directories(from);
+  ASSERT_EQ(run({"policy", "save", "--adl=Tea-making",
+                 "--out=" + from + "/alice.policy", "--episodes=10"})
+                .code,
+            0);
+  const CliResult r = run({"policy", "migrate", "--adl=Tea-making",
+                           "--from=" + from, "--out=" + out, "--writers=-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: flag --writers"), std::string::npos);
+  std::filesystem::remove_all(from);
+  std::filesystem::remove_all(out);
+}
+
 TEST(CliTest, PolicyRequiresKnownSubcommand) {
   const CliResult r = run({"policy", "frobnicate"});
   EXPECT_EQ(r.code, 1);
@@ -481,6 +503,13 @@ TEST(CliTest, RetrainValidatesItsFlags) {
   EXPECT_NE(r.err.find("--drifted"), std::string::npos);
 }
 
+// Negative counts are flag errors, not sizes that wrap to 2^64.
+TEST(CliTest, RetrainRejectsNegativeCounts) {
+  const CliResult r = run({"retrain", "--users=-1", "--drifted=1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: flag --users"), std::string::npos);
+}
+
 TEST(CliTest, FaultsRequiresASubcommand) {
   const CliResult r = run({"faults"});
   EXPECT_EQ(r.code, 1);
@@ -535,6 +564,12 @@ TEST(CliTest, FaultsReplayRejectsAMalformedPlan) {
   const CliResult r = run({"faults", "replay", "--plan=" + plan_path});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("line 3"), std::string::npos);
+}
+
+TEST(CliTest, FaultsReplayRejectsNegativeCounts) {
+  const CliResult r = run({"faults", "replay", "--users=-1"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("error: flag --users"), std::string::npos);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace coreda::util {
 namespace {
 
@@ -87,6 +89,14 @@ TEST(FlagsTest, ArgvOverload) {
   const Flags f = Flags::parse(3, argv);
   EXPECT_EQ(f.command(), "list");
   EXPECT_TRUE(f.get_bool("verbose"));
+}
+
+TEST(FlagsTest, CountRejectsNegativeValues) {
+  const Flags f = Flags::parse({"cmd", "--n=3", "--zero=0", "--neg=-1"});
+  EXPECT_EQ(f.get_count("n", 9), 3u);
+  EXPECT_EQ(f.get_count("zero", 9), 0u);
+  EXPECT_EQ(f.get_count("absent", 9), 9u);
+  EXPECT_THROW(f.get_count("neg", 9), std::invalid_argument);
 }
 
 }  // namespace

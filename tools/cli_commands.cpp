@@ -32,14 +32,14 @@ commands:
   simulate  --adl=<name> [--severity=0.5] [--sessions=3] [--seed=42]
             [--transcript]    closed-loop assisted sessions
   train     --adl=<name> --out=<file> [--episodes=120] [--seed=42]
-                              train a planner, save the policy snapshot
+                              train a planner, save a v2 policy snapshot
   prompt    --adl=<name> --policy=<file> [--prev=<uid>] [--cur=<uid>]
                               next-step prompt from a saved policy
   policy save    --adl=<name> --out=<file> [--episodes=120] [--seed=42]
-                 [--format=v2|v1|v3] [--version=1]
+                 [--format=v2|v3] [--version=1]
                               train and save a policy snapshot
   policy load    --adl=<name> --in=<file>
-                              load a snapshot (v1, v2 or v3), report accuracy
+                              load a snapshot (v2 or v3), report accuracy
   policy inspect --in=<file|store dir>
                               decode a snapshot header (v3: walk the delta
                               chain), or summarize a segment-store
@@ -148,39 +148,53 @@ int cmd_simulate(const util::Flags& flags, std::ostream& out,
   return 0;
 }
 
-int cmd_train(const util::Flags& flags, std::ostream& out,
-              std::ostream& err) {
+/// Trains a planner on sensed episodes and writes its snapshot to --out in
+/// `format` (v2 or v3) stamped with `version`. `train` and `policy save`
+/// are both this helper.
+int train_and_save(const util::Flags& flags, const std::string& cmd,
+                   const std::string& format, std::uint64_t version,
+                   std::ostream& out, std::ostream& err) {
   const std::string adl_name = flags.get("adl");
   const std::string out_path = flags.get("out");
   if (adl_name.empty() || out_path.empty()) {
-    err << "train: --adl=<name> and --out=<file> are required\n";
+    err << cmd << ": --adl=<name> and --out=<file> are required\n";
     return 1;
   }
   adl::AdlLibrary library;
   const adl::Adl& adl = library.by_name(adl_name);
-  const auto episodes = flags.get_int("episodes", 120);
+  const std::size_t episodes = flags.get_count("episodes", 120);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   planning::RoutineLearner learner(adl, util::Rng(seed));
   trace::DatasetBuilder datasets(
       library, patient::PatientProfile::with_severity("Trainer", 0.0),
       seed + 1);
-  for (const auto& ep : datasets.sensed_training_set(
-           adl, static_cast<std::size_t>(episodes))) {
+  for (const auto& ep : datasets.sensed_training_set(adl, episodes)) {
     learner.train_episode(ep);
   }
 
-  std::ofstream file(out_path);
+  std::ofstream file(out_path, std::ios::binary);
   if (!file) {
-    err << "train: cannot write '" << out_path << "'\n";
+    err << cmd << ": cannot write '" << out_path << "'\n";
     return 2;
   }
-  planning::save_policy(file, learner);
+  if (format == "v3") {
+    planning::save_policy_v3_full(file, learner.state_codec().symbols(),
+                                  learner.action_codec().tools(), learner.q(),
+                                  version);
+  } else {
+    planning::save_policy_v2(file, learner, version);
+  }
   out << "Trained " << adl.name() << " on " << episodes
       << " sensed episodes (policy accuracy "
-      << util::format_percent(learner.greedy_accuracy()) << "); saved to "
-      << out_path << '\n';
+      << util::format_percent(learner.greedy_accuracy()) << "); saved "
+      << format << " snapshot to " << out_path << '\n';
   return 0;
+}
+
+int cmd_train(const util::Flags& flags, std::ostream& out,
+              std::ostream& err) {
+  return train_and_save(flags, "train", "v2", 1, out, err);
 }
 
 int cmd_prompt(const util::Flags& flags, std::ostream& out,
@@ -194,12 +208,12 @@ int cmd_prompt(const util::Flags& flags, std::ostream& out,
   adl::AdlLibrary library;
   const adl::Adl& adl = library.by_name(adl_name);
   planning::RoutineLearner learner(adl, util::Rng(1));
-  std::ifstream file(policy_path);
+  std::ifstream file(policy_path, std::ios::binary);
   if (!file) {
     err << "prompt: cannot read '" << policy_path << "'\n";
     return 2;
   }
-  planning::load_policy(file, learner);
+  planning::load_policy_any(file, learner);
 
   const auto prev = static_cast<adl::StepId>(flags.get_int("prev", 0));
   const auto cur = static_cast<adl::StepId>(flags.get_int("cur", 0));
@@ -218,53 +232,14 @@ int cmd_prompt(const util::Flags& flags, std::ostream& out,
 
 int cmd_policy_save(const util::Flags& flags, std::ostream& out,
                     std::ostream& err) {
-  const std::string adl_name = flags.get("adl");
-  const std::string out_path = flags.get("out");
-  if (adl_name.empty() || out_path.empty()) {
-    err << "policy save: --adl=<name> and --out=<file> are required\n";
-    return 1;
-  }
   const std::string format = flags.get("format", "v2");
-  if (format != "v1" && format != "v2" && format != "v3") {
-    err << "policy save: --format must be v1, v2 or v3\n";
+  if (format != "v2" && format != "v3") {
+    err << "policy save: --format must be v2 or v3\n";
     return 1;
   }
-  adl::AdlLibrary library;
-  const adl::Adl& adl = library.by_name(adl_name);
-  const auto episodes = flags.get_int("episodes", 120);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
-
-  planning::RoutineLearner learner(adl, util::Rng(seed));
-  trace::DatasetBuilder datasets(
-      library, patient::PatientProfile::with_severity("Trainer", 0.0),
-      seed + 1);
-  for (const auto& ep : datasets.sensed_training_set(
-           adl, static_cast<std::size_t>(episodes))) {
-    learner.train_episode(ep);
-  }
-
-  std::ofstream file(out_path, std::ios::binary);
-  if (!file) {
-    err << "policy save: cannot write '" << out_path << "'\n";
-    return 2;
-  }
-  if (format == "v1") {
-    planning::save_policy(file, learner);
-  } else if (format == "v3") {
-    planning::save_policy_v3_full(
-        file, learner.state_codec().symbols(),
-        learner.action_codec().tools(), learner.q(),
-        static_cast<std::uint64_t>(flags.get_int("version", 1)));
-  } else {
-    planning::save_policy_v2(
-        file, learner,
-        static_cast<std::uint64_t>(flags.get_int("version", 1)));
-  }
-  out << "Trained " << adl.name() << " on " << episodes
-      << " sensed episodes (policy accuracy "
-      << util::format_percent(learner.greedy_accuracy()) << "); saved "
-      << format << " snapshot to " << out_path << '\n';
-  return 0;
+  return train_and_save(
+      flags, "policy save", format,
+      static_cast<std::uint64_t>(flags.get_int("version", 1)), out, err);
 }
 
 int cmd_policy_load(const util::Flags& flags, std::ostream& out,
@@ -286,17 +261,12 @@ int cmd_policy_load(const util::Flags& flags, std::ostream& out,
   planning::RoutineLearner learner(adl, util::Rng(1));
   const std::uint64_t version = planning::load_policy_any(file, learner);
   out << "Loaded "
-      << (format == planning::PolicyFormat::kTextV1 ? "v1 (text)"
-          : format == planning::PolicyFormat::kBinaryV3
+      << (format == planning::PolicyFormat::kBinaryV3
               ? "v3 (binary, delta chain)"
               : "v2 (binary)")
-      << " snapshot";
-  if (format == planning::PolicyFormat::kBinaryV2 ||
-      format == planning::PolicyFormat::kBinaryV3) {
-    out << ", user version " << version;
-  }
-  out << ": " << adl.name() << ", " << learner.q().num_states()
-      << " states x " << learner.q().num_actions()
+      << " snapshot, user version " << version << ": " << adl.name()
+      << ", " << learner.q().num_states() << " states x "
+      << learner.q().num_actions()
       << " actions, greedy accuracy "
       << util::format_percent(learner.greedy_accuracy()) << '\n';
   return 0;
@@ -334,8 +304,7 @@ int inspect_segment_store(const std::string& dir, std::ostream& out,
     out << "  seg w" << seg.writer << '/' << seg.seq << ": " << seg.anchors
         << " anchors, " << seg.deltas << " deltas, " << seg.live
         << " live chains, mean length "
-        << util::format_fixed(seg.mean_chain_length, 2)
-        << (seg.legacy ? " [legacy v1]" : "") << '\n';
+        << util::format_fixed(seg.mean_chain_length, 2) << '\n';
   }
   return info.meta_ok && info.corrupt_records == 0 ? 0 : 2;
 }
@@ -356,10 +325,6 @@ int cmd_policy_inspect(const util::Flags& flags, std::ostream& out,
     return 2;
   }
   switch (planning::detect_policy_format(file)) {
-    case planning::PolicyFormat::kTextV1:
-      out << "format: coreda-policy v1 (text)\n"
-          << "checksum: none (v1 has no integrity trailer)\n";
-      return 0;
     case planning::PolicyFormat::kBinaryV2: {
       const planning::PolicyV2Info info = planning::inspect_policy_v2(file);
       out << "format: coreda-policy v2 (binary)\n"
@@ -438,15 +403,15 @@ int cmd_policy_migrate(const util::Flags& flags, std::ostream& out,
   // An untrained learner carries the ADL's schema (codecs + table shape);
   // every table the store ends up holding comes from the snapshots.
   planning::RoutineLearner reference(adl, util::Rng(1));
+  const auto steps = reference.state_codec().symbols();
+  const auto tools = reference.action_codec().tools();
+  rl::QTable q(reference.q().num_states(), reference.q().num_actions());
 
   if (to == "v3") {
     // Per-file migration: each v2 snapshot is rewritten as a v3 anchor
     // (atomic tmp+rename), preserving its version. A v3-mode PolicyStore
     // pointed at --out then extends each file with delta appends.
     std::filesystem::create_directories(out_dir);
-    const auto steps = reference.state_codec().symbols();
-    const auto tools = reference.action_codec().tools();
-    rl::QTable q(reference.q().num_states(), reference.q().num_actions());
     std::size_t migrated = 0;
     for (const std::string& name : names) {
       const std::string src = from_dir + "/" + name + ".policy";
@@ -486,16 +451,24 @@ int cmd_policy_migrate(const util::Flags& flags, std::ostream& out,
         << out_dir << '\n';
     return migrated == names.size() ? 0 : 2;
   }
-  serve::SegmentPolicyStoreParams params;
+  // Store migration: user id = the name's sorted position; each snapshot
+  // lands as one anchor record stamped with its own version.
+  serve::SegmentStoreParams params;
   params.dir = out_dir;
-  params.writers =
-      static_cast<std::size_t>(flags.get_int("writers", 1));
+  params.writers = flags.get_count("writers", 1);
   std::size_t imported = 0;
   {
-    serve::SegmentPolicyStore store(reference, params);
-    for (const std::string& name : names) store.add_user(name);
-    imported = store.import_v2_dir(from_dir);
-  }  // destructor flushes; inspect below reads the closed store
+    serve::SegmentStore store(steps, tools, q.num_states(), q.num_actions(),
+                              params);
+    store.reserve_users(names.size());
+    for (std::size_t user = 0; user < names.size(); ++user) {
+      std::ifstream in(from_dir + "/" + names[user] + ".policy",
+                       std::ios::binary);
+      if (!in) continue;
+      store.append(user, q, planning::load_policy_v2(in, steps, tools, q));
+      ++imported;
+    }
+  }  // unmapped: inspect below reads the closed store
 
   const serve::SegmentStore::Info info = serve::SegmentStore::inspect(out_dir);
   out << "Migrated " << imported << "/" << names.size()
@@ -522,7 +495,7 @@ int cmd_policy(const util::Flags& flags, std::ostream& out,
 int cmd_faults_plan(const util::Flags& flags, std::ostream& out,
                     std::ostream& err) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto rounds = static_cast<std::uint64_t>(flags.get_int("rounds", 6));
+  const std::size_t rounds = flags.get_count("rounds", 6);
   const faults::FaultPlan plan = faults::FaultPlan::standard_chaos(seed, rounds);
   const std::string out_path = flags.get("out");
   if (out_path.empty()) {
@@ -544,10 +517,10 @@ int cmd_faults_plan(const util::Flags& flags, std::ostream& out,
 int cmd_faults_replay(const util::Flags& flags, std::ostream& out,
                       std::ostream& err) {
   serve::ChaosFleetParams p;
-  p.users = static_cast<std::size_t>(flags.get_int("users", 96));
-  p.active = static_cast<std::size_t>(flags.get_int("active", 48));
-  p.chaos_rounds = static_cast<std::size_t>(flags.get_int("rounds", 4));
-  p.tail_rounds = static_cast<std::size_t>(flags.get_int("tail-rounds", 1));
+  p.users = flags.get_count("users", 96);
+  p.active = flags.get_count("active", 48);
+  p.chaos_rounds = flags.get_count("rounds", 4);
+  p.tail_rounds = flags.get_count("tail-rounds", 1);
   p.dir = flags.get("dir");
   if (p.dir.empty()) {
     p.dir = (std::filesystem::temp_directory_path() / "coreda_faults_replay")
@@ -645,7 +618,7 @@ int cmd_scenario_run(const util::Flags& flags, std::ostream& out,
     return 1;
   }
   const sim::ScenarioPlan plan = sim::ScenarioPlan::parse(in);
-  const auto jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  const std::size_t jobs = flags.get_count("jobs", 1);
   const serve::ScenarioRunner runner;
   const serve::ScenarioSummary sum = runner.run(plan, jobs == 0 ? 1 : jobs);
   out << serve::format_scenario_report(
@@ -770,11 +743,11 @@ int cmd_report(const util::Flags& flags, std::ostream& out) {
 
 int cmd_retrain(const util::Flags& flags, std::ostream& out,
                 std::ostream& err) {
-  const auto users = static_cast<std::size_t>(flags.get_int("users", 12));
-  const auto slots = static_cast<std::size_t>(flags.get_int("slots", 3));
-  const auto drifted = static_cast<std::size_t>(flags.get_int("drifted", 3));
-  const auto rounds = static_cast<std::size_t>(flags.get_int("rounds", 8));
-  const auto burst = static_cast<std::size_t>(flags.get_int("burst", 2));
+  const std::size_t users = flags.get_count("users", 12);
+  const std::size_t slots = flags.get_count("slots", 3);
+  const std::size_t drifted = flags.get_count("drifted", 3);
+  const std::size_t rounds = flags.get_count("rounds", 8);
+  const std::size_t burst = flags.get_count("burst", 2);
   const double threshold = flags.get_double("threshold", 2.5);
   if (users == 0 || drifted > users) {
     err << "retrain: need --users >= 1 and --drifted <= --users\n";

@@ -11,10 +11,11 @@ namespace coreda::cli {
 ///
 /// Commands:
 ///   simulate   closed-loop assisted sessions and a summary
-///   train      train a planner and save the policy snapshot
+///   train      train a planner and save a v2 policy snapshot
 ///   prompt     query a saved policy for the next-step prompt
-///   policy     snapshot management: save / load / inspect (v1 text and
-///              v2 binary formats; inspect decodes without a learner)
+///   policy     snapshot management: save / load / inspect / migrate (v2
+///              and v3 binary formats, segment stores; inspect decodes
+///              without a learner)
 ///   scenario   replay the paper's Figure 1 timeline
 ///   report     the multi-day caregiver summary
 ///   retrain    closed-loop drift recovery demo: flag users serving from
