@@ -21,7 +21,9 @@
 // trial per shard, users statically owned by shards, latency never printed.
 // Wall-clock AND the p50/p99/p999 serve-latency percentiles go only to
 // --timing-json (BENCH_fleet_serve.json), where the regression checker
-// gates sessions_per_sec, the percentiles, and the allocation contract.
+// gates sessions_per_sec, the percentiles, the allocation contract and the
+// exact work counters (sensor samples synthesized and scheduler events
+// fired per timed session).
 //
 // With --lanes=N (off by default, so the serving baselines are untouched)
 // an extra *nightly lane replay* phase runs after the serving rounds: a
@@ -90,7 +92,22 @@ struct ShapeRun {
   std::size_t resident_state_bytes = 0;
   double cold_start_ms = 0.0;          ///< reopen scan wall-clock (JSON only)
   std::uint64_t cold_scanned = 0;      ///< records the reopen scan accepted
+  // Exact work counters over the timed sessions (JSON only).
+  double samples_per_session = 0.0;
+  double events_per_session = 0.0;
 };
+
+/// Fills the work counters from the reports before and after the timed
+/// rounds.
+void count_work(const serve::FleetReport& before, ShapeRun& run) {
+  const auto sessions = static_cast<double>(run.sessions);
+  run.samples_per_session =
+      static_cast<double>(run.report.samples - before.samples) / sessions;
+  run.events_per_session =
+      static_cast<double>(run.report.scheduler_events -
+                          before.scheduler_events) /
+      sessions;
+}
 
 template <typename Arrivals>
 ShapeRun run_shape(const adl::AdlLibrary& library, const adl::Adl& adl,
@@ -118,7 +135,7 @@ ShapeRun run_shape(const adl::AdlLibrary& library, const adl::Adl& adl,
   // queue growth, and seeds the store so the timed rounds cold-load real
   // records out of the mapping.
   for (std::size_t i = 0; i < active; ++i) fleet.enqueue(arrivals.next());
-  fleet.drain(runner);
+  const serve::FleetReport warm = fleet.drain(runner);
   fleet.reset_latency();
 
   ShapeRun run;
@@ -130,6 +147,7 @@ ShapeRun run_shape(const adl::AdlLibrary& library, const adl::Adl& adl,
   }
   run.seconds = timer.seconds();
   run.sessions = run.report.sessions - active;  // minus the warm-up round
+  count_work(warm, run);
   run.allocs_per_session =
       static_cast<double>(util::allocation_count() - allocs_before) /
       static_cast<double>(run.sessions);
@@ -191,7 +209,7 @@ ShapeRun run_retrain(const adl::AdlLibrary& library, const adl::Adl& adl,
   }
   // Warm-up: the first write-back per user is necessarily a full anchor.
   for (std::size_t u = 0; u < cohort; ++u) fleet.enqueue(u);
-  fleet.drain(runner);
+  const serve::FleetReport warm = fleet.drain(runner);
 
   ShapeRun run;
   const std::uint64_t appends0 = store.appends();
@@ -205,6 +223,7 @@ ShapeRun run_retrain(const adl::AdlLibrary& library, const adl::Adl& adl,
   }
   run.seconds = timer.seconds();
   run.sessions = cohort * rounds;
+  count_work(warm, run);
   run.appends = store.appends() - appends0;
   run.appended_bytes = store.appended_bytes() - bytes0;
   run.anchors_written = store.anchor_records_written() - anchors0;
@@ -435,7 +454,10 @@ int main(int argc, char** argv) {
               static_cast<double>(users))
           << ", \"resident_bytes_per_user\": " << resident_per_user(run)
           << ", \"cold_start_scan_ms\": " << run.cold_start_ms
-          << ", \"cold_start_records\": " << run.cold_scanned;
+          << ", \"cold_start_records\": " << run.cold_scanned
+          << ", \"samples_synthesized_per_session\": "
+          << run.samples_per_session
+          << ", \"scheduler_events_per_session\": " << run.events_per_session;
     exec::append_timing_record(timing_path, name, runner.jobs(), rounds,
                                run.seconds, extra.str());
   };
@@ -455,7 +477,11 @@ int main(int argc, char** argv) {
           << retrain.anchor_record_bytes
           << ", \"append_reduction\": " << reduction(retrain)
           << ", \"anchors_written\": " << retrain.anchors_written
-          << ", \"deltas_written\": " << retrain.deltas_written;
+          << ", \"deltas_written\": " << retrain.deltas_written
+          << ", \"samples_synthesized_per_session\": "
+          << retrain.samples_per_session
+          << ", \"scheduler_events_per_session\": "
+          << retrain.events_per_session;
     exec::append_timing_record(timing_path, "fleet_retrain", runner.jobs(),
                                retrain_rounds, retrain.seconds, extra.str());
   }

@@ -106,6 +106,59 @@ void BM_SensorSample(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorSample);
 
+// --- Idle accelerometer windows: full values vs decisions vs draws ---------
+// One 10-sample idle vote window per iteration at the default threshold
+// (items = samples). The draws-only floor makes the same generator calls
+// as the kernel and nothing else.
+
+constexpr std::size_t kIdleWindow = 10;
+
+void BM_AccelIdleSampleLoop(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  util::Rng rng(5);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kIdleWindow; ++i) {
+      benchmark::DoNotOptimize(
+          model.sample(sim::TimePoint::origin(), 0.0, 1.0, rng));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+}
+BENCHMARK(BM_AccelIdleSampleLoop);
+
+void BM_AccelIdleHitBlock(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  util::Rng rng(5);
+  const double activations[kIdleWindow] = {};
+  std::uint8_t hits[kIdleWindow];
+  for (auto _ : state) {
+    model.hit_block(sim::TimePoint::origin(), sim::Duration::millis(100),
+                    activations, kIdleWindow, 1.0,
+                    model.recommended_threshold(), rng, hits);
+    benchmark::DoNotOptimize(hits);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+}
+BENCHMARK(BM_AccelIdleHitBlock);
+
+void BM_AccelIdleDrawsOnly(benchmark::State& state) {
+  const sensors::AccelerometerModel::Params params;
+  util::Rng rng(5);
+  for (auto _ : state) {
+    // Per sample: bump trial, two tilt angles, 1.5 polar pairs.
+    for (std::size_t i = 0; i < kIdleWindow; ++i) {
+      benchmark::DoNotOptimize(rng.bernoulli(params.bump_probability));
+      benchmark::DoNotOptimize(rng.uniform());
+      benchmark::DoNotOptimize(rng.uniform());
+      benchmark::DoNotOptimize(rng.polar());
+      if (i % 2 == 0) benchmark::DoNotOptimize(rng.polar());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+}
+BENCHMARK(BM_AccelIdleDrawsOnly);
+
 // --- Scheduler hot paths ---------------------------------------------------
 // Before the slot-pool rewrite every schedule_* call heap-allocated a
 // shared_ptr<bool> control block and every periodic reschedule copied the

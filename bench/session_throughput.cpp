@@ -53,14 +53,6 @@ struct FleetTotals {
   std::uint64_t events = 0;   ///< scheduler events fired (reuse mode)
 };
 
-std::uint64_t samples_taken(const core::CoredaSystem& system) {
-  std::uint64_t samples = 0;
-  for (adl::ToolId tool : system.adl().tools()) {
-    samples += system.node(tool).samples();
-  }
-  return samples;
-}
-
 /// Per-user severity draw shared by both modes so they serve identical
 /// patient populations.
 patient::PatientProfile fleet_profile(util::Rng& rng) {
@@ -149,7 +141,7 @@ int main(int argc, char** argv) {
         const patient::PatientProfile profile = fleet_profile(ctx.rng);
         FleetTotals totals;
         core::SessionResult result;
-        const std::uint64_t samples_before = samples_taken(system);
+        const std::uint64_t samples_before = system.samples_taken();
         const std::uint64_t events_before = system.scheduler().events_fired();
         for (std::size_t s = 0; s < sessions; ++s) {
           system.run_session_inplace(profile, sim::Duration::minutes(15.0),
@@ -157,7 +149,7 @@ int main(int argc, char** argv) {
           totals.completed += result.completed;
           totals.checksum += session_checksum(result);
         }
-        totals.samples = samples_taken(system) - samples_before;
+        totals.samples = system.samples_taken() - samples_before;
         totals.events = system.scheduler().events_fired() - events_before;
         return totals;
       });

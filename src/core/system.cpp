@@ -71,6 +71,12 @@ const pavenet::PavenetNode& CoredaSystem::node(adl::ToolId tool) const {
                           std::to_string(tool));
 }
 
+std::uint64_t CoredaSystem::samples_taken() const noexcept {
+  std::uint64_t samples = 0;
+  for (const auto& n : nodes_) samples += n->samples();
+  return samples;
+}
+
 void CoredaSystem::pretrain(
     std::span<const std::vector<adl::StepId>> episodes) {
   for (const auto& ep : episodes) learner_->train_episode(ep);

@@ -137,6 +137,9 @@ class CoredaSystem {
 
   /// The node attached to `tool`; throws std::out_of_range when absent.
   const pavenet::PavenetNode& node(adl::ToolId tool) const;
+  /// Sensor samples all nodes have taken since construction (monotonic
+  /// across sessions; an exact work counter).
+  std::uint64_t samples_taken() const noexcept;
 
  private:
   void on_usage(adl::ToolId tool, sim::TimePoint at);

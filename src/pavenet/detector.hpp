@@ -19,17 +19,23 @@ class ThresholdDetector {
   ThresholdDetector(double excitation_threshold, std::uint32_t vote_window,
                     std::uint32_t vote_threshold);
 
-  /// Feeds one excitation sample. Returns true when this sample completed a
-  /// window whose vote passed (i.e. "tool is in use" was decided now).
-  /// Inline: the firmware path calls this once per synthesized sample.
-  bool add_sample(double excitation) noexcept {
-    if (excitation > threshold_) ++hits_;
+  /// Feeds one sample's threshold decision (excitation > threshold()).
+  /// Returns true when this sample completed a window whose vote passed
+  /// (i.e. "tool is in use" was decided now). Inline: the firmware path
+  /// calls this once per synthesized sample.
+  bool add_hit(bool hit) noexcept {
+    if (hit) ++hits_;
     ++filled_;
     if (filled_ < window_) return false;
     const bool in_use = hits_ >= votes_;
     filled_ = 0;
     hits_ = 0;
     return in_use;
+  }
+
+  /// Feeds one excitation sample; see add_hit().
+  bool add_sample(double excitation) noexcept {
+    return add_hit(excitation > threshold_);
   }
 
   /// Hits in the current (incomplete) window.

@@ -1,5 +1,7 @@
 #include "pavenet/node.hpp"
 
+#include <algorithm>
+
 namespace coreda::pavenet {
 
 namespace {
@@ -45,7 +47,6 @@ void PavenetNode::power_on() {
     // exactly the wake times. Samples inside the window are synthesized
     // retroactively at their true tick times from the world's history.
     next_sample_time_ = scheduler_->now() + period;
-    activation_buf_.reserve(config_.vote_window);
     const sim::Duration batch = sim::Duration::micros(
         period.total_micros() * static_cast<std::int64_t>(config_.vote_window));
     tick_ = scheduler_->schedule_periodic(batch, [this] { firmware_batch(); });
@@ -76,43 +77,46 @@ void PavenetNode::firmware_batch() { synthesize_until(scheduler_->now()); }
 void PavenetNode::synthesize_until(sim::TimePoint limit) {
   if (next_sample_time_ > limit) return;
   const sim::Duration period = sample_period();
-  const std::size_t count =
+  std::size_t left =
       static_cast<std::size_t>((limit - next_sample_time_).total_micros() /
                                period.total_micros()) +
       1;
-  activation_buf_.resize(count);
-  world_->activation_block(tool_.id, next_sample_time_, period, count,
-                           activation_buf_.data());
-  // One virtual dispatch for the whole window; the buffer is overwritten
-  // in place with the excitations (sample_block reads each activation
-  // before writing the slot).
-  sensor_->sample_block(next_sample_time_, period, activation_buf_.data(),
-                        count, tool_.usage_intensity, rng_,
-                        activation_buf_.data());
+  // Stack scratch, so a node owns no heap buffer; a window fits in one
+  // chunk unless vote_window exceeds kChunk. One virtual dispatch per
+  // chunk, and only the decisions the detector reads: hit_block draws
+  // exactly what sample() would, in chunks or not.
+  constexpr std::size_t kChunk = 32;
+  double activations[kChunk] = {};
+  std::uint8_t hits[kChunk] = {};
   sim::TimePoint at = next_sample_time_;
-  for (std::size_t i = 0; i < count; ++i, at = at + period) {
-    ++samples_;
-    process_excitation(at, activation_buf_[i]);
+  while (left > 0) {
+    const std::size_t count = std::min(left, kChunk);
+    world_->activation_block(tool_.id, at, period, count, activations);
+    sensor_->hit_block(at, period, activations, count, tool_.usage_intensity,
+                       detector_.threshold(), rng_, hits);
+    for (std::size_t i = 0; i < count; ++i, at = at + period) {
+      ++samples_;
+      process_hit(at, hits[i] != 0);
+    }
+    left -= count;
   }
   next_sample_time_ = at;
 }
 
 void PavenetNode::process_sample(sim::TimePoint at, double activation) {
   ++samples_;
-  process_excitation(
-      at, sensor_->sample(at, activation, tool_.usage_intensity, rng_));
+  process_hit(at, sensor_->sample(at, activation, tool_.usage_intensity,
+                                  rng_) > detector_.threshold());
 }
 
-void PavenetNode::process_excitation(sim::TimePoint at, double excitation) {
+void PavenetNode::process_hit(sim::TimePoint at, bool hit) {
   const std::uint32_t hits_before = detector_.pending_hits();
-  if (!detector_.add_sample(excitation)) return;
+  if (!detector_.add_hit(hit)) return;
 
   // A window voted "in use". In batch mode this can only happen on the last
   // sample of a wake-up, i.e. `at` == the current scheduler time.
   eeprom_.append(EepromRecord{
-      at, uid(),
-      static_cast<std::uint8_t>(
-          hits_before + (excitation > detector_.threshold() ? 1 : 0))});
+      at, uid(), static_cast<std::uint8_t>(hits_before + (hit ? 1 : 0))});
 
   if (announced_once_ && at - last_announce_ < config_.reannounce_interval) {
     return;

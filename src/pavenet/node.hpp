@@ -66,7 +66,7 @@ class PavenetNode {
   void firmware_batch();
   void synthesize_until(sim::TimePoint limit);
   void process_sample(sim::TimePoint at, double activation);
-  void process_excitation(sim::TimePoint at, double excitation);
+  void process_hit(sim::TimePoint at, bool hit);
   void handle_downlink(const Packet& packet);
   sim::Duration sample_period() const noexcept {
     return sim::Duration::micros(1'000'000 / config_.sampling_hz);
@@ -85,7 +85,6 @@ class PavenetNode {
   sim::EventHandle tick_;
   bool powered_ = false;
   sim::TimePoint next_sample_time_;      ///< batch mode: next tick to synthesize
-  std::vector<double> activation_buf_;   ///< batch mode: per-wake scratch
   sim::TimePoint last_announce_;
   bool announced_once_ = false;
   std::uint64_t announcements_ = 0;

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "adl/types.hpp"
@@ -33,15 +36,17 @@ class SensorModel {
   virtual double sample(sim::TimePoint t, double activation,
                         double intensity, util::Rng& rng) = 0;
 
-  /// Fills out[0..count) with consecutive samples at `first`,
-  /// `first + step`, ..., reading the matching activation for each from
-  /// `activations`. Values and RNG draw order are identical to calling
-  /// sample() in a loop; hot models override this to hoist the virtual
-  /// dispatch out of the batched firmware's per-sample loop. `out` may
-  /// alias `activations` (each element is read before it is written).
-  virtual void sample_block(sim::TimePoint first, sim::Duration step,
-                            const double* activations, std::size_t count,
-                            double intensity, util::Rng& rng, double* out);
+  /// Decides the threshold test for `count` consecutive samples at
+  /// `first`, `first + step`, ..., reading the matching activation for each
+  /// from `activations`: hits[i] = 1 when sample i's excitation exceeds
+  /// `threshold`, else 0. RNG draw order and every state left behind are
+  /// identical to calling sample() in a loop; hot models override this to
+  /// hoist the virtual dispatch out of the batched firmware's sample loop
+  /// and to skip work the decision does not need.
+  virtual void hit_block(sim::TimePoint first, sim::Duration step,
+                         const double* activations, std::size_t count,
+                         double intensity, double threshold, util::Rng& rng,
+                         std::uint8_t* hits);
 
   /// The threshold a node firmware should use with this model: chosen so a
   /// full-intensity manipulation comfortably exceeds it while idle noise
@@ -68,18 +73,52 @@ class AccelerometerModel final : public SensorModel {
 
   double sample(sim::TimePoint t, double activation, double intensity,
                 util::Rng& rng) override;
-  void sample_block(sim::TimePoint first, sim::Duration step,
-                    const double* activations, std::size_t count,
-                    double intensity, util::Rng& rng, double* out) override;
+  /// Decides quiet idle samples from the noise pairs' radii alone (see
+  /// DESIGN.md, "Decision kernel"); every other sample takes sample()'s
+  /// exact path.
+  void hit_block(sim::TimePoint first, sim::Duration step,
+                 const double* activations, std::size_t count,
+                 double intensity, double threshold, util::Rng& rng,
+                 std::uint8_t* hits) override;
   double recommended_threshold() const noexcept override { return 0.30; }
 
-  /// The full 3-axis reading behind the last sample() call; useful for
-  /// tests and trace export.
-  Vec3 last_reading() const noexcept { return last_; }
+  /// The full 3-axis reading behind the last sample, whether it came from
+  /// sample() or hit_block(); useful for tests and trace export.
+  Vec3 last_reading() const noexcept;
 
  private:
+  /// The draws before the noise, in sample() order: the tilt radius r
+  /// (drive plus any idle bump) and the tilt angles.
+  struct Tilt {
+    double r;
+    double theta;
+    double phi;
+  };
+  /// One noise draw of hit_block() whose value is computed on demand: half
+  /// `w` (u or v) of a polar pair with squared radius `s` and factor `f`
+  /// (0 until evaluated).
+  struct LazyNormal {
+    double w;
+    double s;
+    double f;
+    bool v_half;
+
+    double factor() const noexcept {
+      return f != 0.0 ? f : util::Rng::polar_factor(s);
+    }
+  };
+
+  Tilt draw_tilt(double activation, double intensity, util::Rng& rng) const;
+  Vec3 reading(const Tilt& tilt, double nx, double ny, double nz) const;
+  double noise_value(const LazyNormal& n) const noexcept;
+  void set_quiet_threshold(double threshold) noexcept;
+
   Params params_;
   Vec3 last_{};
+  bool last_lazy_ = false;  ///< last sample was decided quiet: see lazy_
+  std::array<LazyNormal, 3> lazy_{};  ///< its x, y, z noise draws
+  double quiet_threshold_ = std::numeric_limits<double>::quiet_NaN();
+  double quiet_s_min_ = std::numeric_limits<double>::infinity();
 };
 
 /// Pressure sensor (the electronic pot's dispense lever). Produces a small
@@ -99,9 +138,10 @@ class PressureModel final : public SensorModel {
 
   double sample(sim::TimePoint t, double activation, double intensity,
                 util::Rng& rng) override;
-  void sample_block(sim::TimePoint first, sim::Duration step,
-                    const double* activations, std::size_t count,
-                    double intensity, util::Rng& rng, double* out) override;
+  void hit_block(sim::TimePoint first, sim::Duration step,
+                 const double* activations, std::size_t count,
+                 double intensity, double threshold, util::Rng& rng,
+                 std::uint8_t* hits) override;
   double recommended_threshold() const noexcept override { return 0.25; }
 
  private:

@@ -216,6 +216,8 @@ FleetReport FleetEngine::drain(exec::TrialRunner& runner) {
   for (const Shard& sh : shards_) {
     for (const Slot& slot : sh.slots) {
       report.radio_lost_frames += slot.system->channel().stats().lost_fault;
+      report.samples += slot.system->samples_taken();
+      report.scheduler_events += slot.system->scheduler().events_fired();
     }
     report.dropped_sessions += sh.dropped;
     report.crashed_appends += sh.crashed_appends;

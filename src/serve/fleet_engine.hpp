@@ -67,6 +67,9 @@ struct FleetReport {
                                        ///< unflushed and retries later)
   std::uint64_t radio_lost_frames = 0; ///< frames dropped by injected
                                        ///< Gilbert–Elliott radio bursts
+  std::uint64_t samples = 0;           ///< sensor samples the slot systems
+                                       ///< synthesized
+  std::uint64_t scheduler_events = 0;  ///< events their schedulers fired
   util::LatencyHistogram latency;      ///< per-session serve latency (ns)
 };
 

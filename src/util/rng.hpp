@@ -67,22 +67,59 @@ class Rng {
   }
 
   /// Normal deviate with the given mean and standard deviation.
+  ///
+  /// Marsaglia polar method: one polar() pair yields two deviates. The
+  /// u-half is returned as mean + (stddev·u)·f and the v-half's unit value
+  /// v·f is cached for the next call, which returns mean + stddev·(v·f).
   double normal(double mean, double stddev) noexcept {
     if (has_cached_normal_) {
       has_cached_normal_ = false;
       return mean + stddev * cached_normal_;
     }
-    // Marsaglia polar method.
+    const Polar p = polar();
+    const double factor = polar_factor(p.s);
+    cached_normal_ = p.v * factor;
+    has_cached_normal_ = true;
+    return mean + stddev * p.u * factor;
+  }
+
+  /// A point drawn uniformly from the open unit disc minus the origin, and
+  /// its squared radius s = u² + v² ∈ (0, 1).
+  struct Polar {
+    double u;
+    double v;
+    double s;
+  };
+
+  /// The uniform draws of one normal() pair, without its log/sqrt.
+  Polar polar() noexcept {
     double u, v, s;
     do {
       u = uniform(-1.0, 1.0);
       v = uniform(-1.0, 1.0);
       s = u * u + v * v;
     } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    cached_normal_ = v * factor;
+    return {u, v, s};
+  }
+
+  /// The factor f = √(−2 ln s / s) that turns a polar() pair into two unit
+  /// normals u·f and v·f. Positive for every s polar() returns.
+  static double polar_factor(double s) noexcept {
+    return std::sqrt(-2.0 * std::log(s) / s);
+  }
+
+  /// The v-half unit value v·f the next normal() call returns (scaled),
+  /// if one is cached. Code that draws polar() pairs itself takes the
+  /// cache over with take_cached_normal() and hands its own unconsumed
+  /// v-half back with cache_normal(), keeping the stream normal() sees.
+  bool has_cached_normal() const noexcept { return has_cached_normal_; }
+  double take_cached_normal() noexcept {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  void cache_normal(double unit) noexcept {
+    cached_normal_ = unit;
     has_cached_normal_ = true;
-    return mean + stddev * u * factor;
   }
 
   /// Exponential deviate with the given mean (mean = 1 / rate).

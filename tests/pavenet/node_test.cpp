@@ -128,6 +128,11 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
   // The batched firmware task is a pure scheduling optimization: every
   // sampled value, EEPROM record, and announcement must be identical to the
   // literal per-tick loop, including partial windows flushed at power_off.
+  // The per-tick loop decides each sample through sample(), the batched
+  // one through hit_block(); both sensor kinds run at a low threshold
+  // (most idle samples take the exact path), the accelerometer's default
+  // and a high one. A 45-sample window spans two of the node's 32-sample
+  // decision chunks.
   adl::AdlLibrary library;
   struct Observed {
     std::uint64_t samples;
@@ -136,7 +141,8 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     std::vector<std::pair<std::int64_t, int>> records;
     bool operator==(const Observed&) const = default;
   };
-  auto run_one = [&](bool batch) {
+  auto run_one = [&](adl::ToolId tool, double threshold,
+                     std::uint32_t window, bool batch) {
     sim::Scheduler scheduler;
     sensors::ManipulationWorld world;
     RadioChannel channel{scheduler, util::Rng(1)};
@@ -144,18 +150,21 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     channel.attach_receiver(0, [&](const Packet&) { ++uplink; });
     FirmwareConfig config;
     config.batch_sampling = batch;
-    PavenetNode node(library.tools().at(adl::tools::kKettle), scheduler, world,
-                     channel, util::Rng(7), config);
+    config.excitation_threshold = threshold;
+    config.vote_window = window;
+    config.vote_threshold = window * 3 / 10;
+    PavenetNode node(library.tools().at(tool), scheduler, world, channel,
+                     util::Rng(7), config);
     node.power_on();
     // Episodes that start, truncate, and restart mid-window.
     scheduler.schedule_at(TimePoint::from_seconds(1.23), [&] {
-      world.begin(adl::tools::kKettle, scheduler.now(), Duration::seconds(4.0));
+      world.begin(tool, scheduler.now(), Duration::seconds(4.0));
     });
     scheduler.schedule_at(TimePoint::from_seconds(3.07), [&] {
-      world.end(adl::tools::kKettle, scheduler.now());
+      world.end(tool, scheduler.now());
     });
     scheduler.schedule_at(TimePoint::from_seconds(3.55), [&] {
-      world.begin(adl::tools::kKettle, scheduler.now(), Duration::seconds(5.0));
+      world.begin(tool, scheduler.now(), Duration::seconds(5.0));
     });
     scheduler.run_until(TimePoint::from_seconds(9.35));  // mid-window stop
     node.power_off();
@@ -165,11 +174,24 @@ TEST(NodeBatchingTest, BatchedSamplingMatchesPerTickBitExactly) {
     }
     return obs;
   };
-  const Observed per_tick = run_one(false);
-  const Observed batched = run_one(true);
-  EXPECT_EQ(per_tick.samples, 93u);  // 9.35 s at 10 Hz, flushed to the tick
+  for (const adl::ToolId tool :
+       {adl::tools::kKettle, adl::tools::kElectricPot}) {
+    std::size_t records = 0;
+    for (const double threshold : {0.05, 0.30, 0.77}) {
+      SCOPED_TRACE(testing::Message() << "tool " << tool << ", threshold "
+                                      << threshold);
+      const Observed per_tick = run_one(tool, threshold, 10, false);
+      const Observed batched = run_one(tool, threshold, 10, true);
+      EXPECT_EQ(per_tick.samples, 93u);  // 9.35 s at 10 Hz, flushed to tick
+      EXPECT_TRUE(per_tick == batched);
+      records += per_tick.records.size();
+    }
+    EXPECT_GT(records, 0u) << "tool " << tool;
+  }
+  const Observed per_tick = run_one(adl::tools::kKettle, 0.30, 45, false);
+  EXPECT_EQ(per_tick.samples, 93u);
   EXPECT_GT(per_tick.records.size(), 0u);
-  EXPECT_TRUE(per_tick == batched);
+  EXPECT_TRUE(per_tick == run_one(adl::tools::kKettle, 0.30, 45, true));
 }
 
 TEST_F(NodeFixture, UidMatchesTool) {

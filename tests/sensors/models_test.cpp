@@ -192,34 +192,98 @@ TEST(AccelerometerModelTest, IdleFastPathIsBitExact) {
   EXPECT_EQ(digest, kDigest);
   EXPECT_EQ(rng(), kNextDraw);
 
-  // The batched firmware path draws the same stream: sample_block over each
-  // segment equals the sample() loop above.
-  AccelerometerModel quiet_block;
-  AccelerometerModel bumpy_block(bumpy_params());
-  util::Rng block_rng(2024);
-  std::vector<double> block(kScriptSamples);
-  for (std::size_t first = 0; first < kScriptSamples;
-       first += kScriptSegment) {
-    const std::size_t segment = first / kScriptSegment;
-    double activations[kScriptSegment];
-    for (std::size_t k = 0; k < kScriptSegment; ++k) {
-      activations[k] = script_activation(first + k);
+  // The batched firmware path draws the same stream: hit_block over each
+  // segment decides exactly excitation > threshold for the sample() loop
+  // above, leaves the generator and the last reading where it did, at the
+  // default threshold and at one that sends more samples down the exact
+  // path.
+  for (const double threshold : {0.30, 0.05}) {
+    SCOPED_TRACE(threshold);
+    AccelerometerModel quiet_block;
+    AccelerometerModel bumpy_block(bumpy_params());
+    util::Rng block_rng(2024);
+    std::vector<std::uint8_t> hits(kScriptSamples);
+    for (std::size_t first = 0; first < kScriptSamples;
+         first += kScriptSegment) {
+      const std::size_t segment = first / kScriptSegment;
+      double activations[kScriptSegment];
+      for (std::size_t k = 0; k < kScriptSegment; ++k) {
+        activations[k] = script_activation(first + k);
+      }
+      AccelerometerModel& model =
+          script_bumpy(segment) ? bumpy_block : quiet_block;
+      model.hit_block(TimePoint::origin(), sim::Duration::millis(100),
+                      activations, kScriptSegment, script_intensity(segment),
+                      threshold, block_rng, hits.data() + first);
     }
-    AccelerometerModel& model =
-        script_bumpy(segment) ? bumpy_block : quiet_block;
-    model.sample_block(TimePoint::origin(), sim::Duration::millis(100),
-                       activations, kScriptSegment, script_intensity(segment),
-                       block_rng, block.data() + first);
+    for (std::size_t i = 0; i < kScriptSamples; ++i) {
+      ASSERT_EQ(hits[i] != 0, excitations[i] > threshold) << "sample " << i;
+    }
+    EXPECT_EQ(block_rng(), kNextDraw);
+    for (const auto& [a, b] : {std::pair{&quiet, &quiet_block},
+                               std::pair{&bumpy, &bumpy_block}}) {
+      EXPECT_EQ(bits(a->last_reading().x), bits(b->last_reading().x));
+      EXPECT_EQ(bits(a->last_reading().y), bits(b->last_reading().y));
+      EXPECT_EQ(bits(a->last_reading().z), bits(b->last_reading().z));
+    }
   }
-  for (std::size_t i = 0; i < kScriptSamples; ++i) {
-    ASSERT_EQ(bits(block[i]), bits(excitations[i])) << "sample " << i;
-  }
-  EXPECT_EQ(block_rng(), kNextDraw);
-  for (const auto& [a, b] : {std::pair{&quiet, &quiet_block},
-                             std::pair{&bumpy, &bumpy_block}}) {
-    EXPECT_EQ(bits(a->last_reading().x), bits(b->last_reading().x));
-    EXPECT_EQ(bits(a->last_reading().y), bits(b->last_reading().y));
-    EXPECT_EQ(bits(a->last_reading().z), bits(b->last_reading().z));
+}
+
+// hit_block against the sample() loop on random windows: 1-12 samples
+// that are idle, active or mixed, at thresholds 0.02-1.5, with default and
+// frequent bumps, starting with and without a cached normal. Each window
+// compares the hits, the last reading's bits and the draws that follow.
+TEST(AccelerometerModelTest, HitBlockMatchesSampleLoop) {
+  util::Rng script(99);
+  for (const AccelerometerModel::Params params :
+       {AccelerometerModel::Params{}, bumpy_params()}) {
+    AccelerometerModel loop_model(params);
+    AccelerometerModel block_model(params);
+    util::Rng loop_rng(7);
+    util::Rng block_rng(7);
+    for (int window = 0; window < 20000; ++window) {
+      SCOPED_TRACE(window);
+      const std::size_t count =
+          static_cast<std::size_t>(script.uniform_int(1, 12));
+      const double threshold = script.uniform(0.02, 1.5);
+      const double intensity = script.uniform(0.0, 1.3);
+      const std::int64_t mode = script.uniform_int(0, 2);
+      double activations[12];
+      for (std::size_t k = 0; k < count; ++k) {
+        activations[k] = mode == 0   ? 0.0
+                         : mode == 1 ? script.uniform(0.05, 1.0)
+                         : script.bernoulli(0.5) ? 0.0
+                                                 : script.uniform();
+      }
+      std::uint8_t hits[12];
+      block_model.hit_block(TimePoint::origin(), sim::Duration::millis(100),
+                            activations, count, intensity, threshold,
+                            block_rng, hits);
+      for (std::size_t k = 0; k < count; ++k) {
+        const double excitation = loop_model.sample(
+            TimePoint::origin(), activations[k], intensity, loop_rng);
+        ASSERT_EQ(hits[k] != 0, excitation > threshold) << "sample " << k;
+      }
+      const Vec3 a = loop_model.last_reading();
+      const Vec3 b = block_model.last_reading();
+      ASSERT_EQ(bits(a.x), bits(b.x));
+      ASSERT_EQ(bits(a.y), bits(b.y));
+      ASSERT_EQ(bits(a.z), bits(b.z));
+      // Now and then consume a normal (flipping the cached-half parity the
+      // next window starts with) or a raw draw, on both streams.
+      switch (script.uniform_int(0, 3)) {
+        case 0:
+          ASSERT_EQ(bits(loop_rng.normal(0.0, 1.0)),
+                    bits(block_rng.normal(0.0, 1.0)));
+          break;
+        case 1:
+          ASSERT_EQ(loop_rng(), block_rng());
+          break;
+        default:
+          break;
+      }
+    }
+    EXPECT_EQ(loop_rng(), block_rng());
   }
 }
 

@@ -25,10 +25,12 @@ struct HomePoolFixture : ::testing::Test {
   static core::SessionScript interleaved() {
     core::SessionScript script;
     script.hint = "Tea-making";
-    script.parts.push_back(core::ScriptPart{.adl = "Tea-making", .steps = 2});
-    script.parts.push_back(core::ScriptPart{.adl = "Tooth-brushing"});
     script.parts.push_back(
-        core::ScriptPart{.adl = "Tea-making", .resume = true});
+        core::ScriptPart{.adl = "Tea-making", .steps = 2, .pause = {}});
+    script.parts.push_back(
+        core::ScriptPart{.adl = "Tooth-brushing", .pause = {}});
+    script.parts.push_back(
+        core::ScriptPart{.adl = "Tea-making", .resume = true, .pause = {}});
     return script;
   }
 

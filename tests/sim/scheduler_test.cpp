@@ -188,6 +188,7 @@ TEST(SchedulerTest, StaleHandleCancelDoesNotTouchRecycledSlot) {
   EventHandle h2 = s.schedule_after(Duration::seconds(1.0),
                                     [&] { second = true; });
   h1.cancel();  // stale: must not cancel the recycled slot's new event
+  EXPECT_FALSE(h2.cancelled());
   s.run();
   EXPECT_TRUE(first);
   EXPECT_TRUE(second);

@@ -35,8 +35,9 @@ hardware mismatch; a miss is a behaviour change, not noise:
     recovery_sessions_max / post_retrain_prompts_per_session must not
     increase;
   * session work — samples_synthesized_per_session and
-    scheduler_events_per_session (bench_session_throughput) must not grow:
-    a sensing speed-up must remove arithmetic, not samples or events.
+    scheduler_events_per_session (bench_session_throughput,
+    bench_fleet_serve) must not grow: a sensing speed-up must remove
+    arithmetic, not samples or events.
 
 BANDED gates — wall-clock, hence noisy and machine-shaped. Only these are
 downgraded to warnings when hardware_concurrency differs from the baseline:
@@ -119,8 +120,9 @@ EXACT_CEILINGS = {
         (0.0, "the retrain loop recovers slower"),
     "post_retrain_prompts_per_session":
         (0.0, "the retrain loop recovers slower"),
-    # Closed-loop work counters (bench_session_throughput): pure functions
-    # of the seeds, identical at any --jobs and on any machine.
+    # Closed-loop work counters (bench_session_throughput,
+    # bench_fleet_serve): pure functions of the seeds, identical at any
+    # --jobs and on any machine.
     "samples_synthesized_per_session":
         (0.0, "a session synthesizes more sensor samples"),
     "scheduler_events_per_session":
