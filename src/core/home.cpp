@@ -79,63 +79,10 @@ const planning::RoutineLearner& HomeDeployment::learner(
 HomeSessionResult HomeDeployment::run_session(
     const std::string& adl_name, const patient::PatientProfile& profile,
     sim::Duration max_duration, const std::string& schedule_hint) {
-  const adl::Adl& attempted = library_->by_name(adl_name);
-  if (!schedule_hint.empty()) {
-    library_->by_name(schedule_hint);  // validate before starting
-  }
-
-  if (actor_ == nullptr) {
-    actor_ = std::make_unique<patient::PatientActor>(
-        scheduler_, world_, library_->tools(), profile, rng_.fork());
-  } else {
-    actor_->reset(profile, rng_.fork());
-  }
-
-  HomeSessionResult result;
-  result.actual_adl = adl_name;
-  result_ = &result;
-  session_active_ = true;
-  active_adl_ = nullptr;
-  active_learner_ = nullptr;
-  prev_ = adl::kIdleStep;
-  cur_ = adl::kIdleStep;
-  prompt_outstanding_ = false;
-  wrong_tool_prompted_ = false;
-  contexts_.clear();
-  progress_.clear();
-  tracker_->close_episode();
-  station_->reset_usage_history();
-  reminder_->begin_session();
-  for (const auto& node : nodes_) {
-    node->led().all_off();
-    node->led().clear_history();
-  }
-
-  const sim::TimePoint start = scheduler_.now();
-  const sim::TimePoint deadline = start + max_duration;
-
-  actor_->begin(attempted.primary_routine());
-  provisional_hint_.clear();
-  if (!schedule_hint.empty()) {
-    // Provisional activation from the care schedule: prompts can flow
-    // before (or without) recognition. Recognition overrides it, but only
-    // on solid evidence (see on_activity).
-    activate(schedule_hint);
-    provisional_hint_ = schedule_hint;
-    arm_for_next();
-  }
-  while (!actor_->finished() && scheduler_.now() < deadline &&
-         !scheduler_.empty()) {
-    scheduler_.run(1);
-  }
-
-  trigger_->disarm();
-  session_active_ = false;
-  result_ = nullptr;
-
-  result.completed = actor_->finished();
-  result.elapsed = scheduler_.now() - start;
-  return result;
+  SessionScript script;
+  script.parts.push_back(ScriptPart{.adl = adl_name, .pause = {}});
+  script.hint = schedule_hint;
+  return run_script(script, profile, max_duration).session;
 }
 
 HomeScriptResult HomeDeployment::run_script(
@@ -226,6 +173,9 @@ HomeScriptResult HomeDeployment::run_script(
     if (first_segment) {
       first_segment = false;
       if (!script.hint.empty()) {
+        // Provisional activation from the care schedule: prompts can flow
+        // before (or without) recognition. Recognition overrides it, but
+        // only on solid evidence (see on_activity).
         activate(script.hint);
         provisional_hint_ = script.hint;
         arm_for_next();

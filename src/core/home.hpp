@@ -104,6 +104,8 @@ class HomeDeployment {
   /// hint if the usage stream says otherwise. Without a hint, assistance
   /// starts only after recognition — a resident who never starts is not
   /// prompted (the un-hinted system cannot know what they intended).
+  ///
+  /// This is run_script() with one whole-routine segment of `adl_name`.
   HomeSessionResult run_session(const std::string& adl_name,
                                 const patient::PatientProfile& profile,
                                 sim::Duration max_duration,

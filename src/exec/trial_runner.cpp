@@ -7,16 +7,6 @@
 
 namespace coreda::exec {
 
-std::uint64_t trial_seed(std::uint64_t base_seed,
-                         std::uint64_t index) noexcept {
-  // SplitMix64 finalizer over the mixed pair. The golden-ratio increment
-  // decorrelates index from base_seed before the avalanche rounds.
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::size_t jobs_from_flags(const util::Flags& flags) {
   const std::int64_t jobs = flags.get_int("jobs", 0);
   if (jobs < 0) {

@@ -19,8 +19,12 @@ namespace coreda::exec {
 /// SplitMix64 finalization over the (base, index) pair: statistically
 /// independent streams for neighboring indices, and — crucially — a pure
 /// function of the pair, so trial i draws the same stream whether it runs
-/// first, last, serially, or on any worker thread.
-std::uint64_t trial_seed(std::uint64_t base_seed, std::uint64_t index) noexcept;
+/// first, last, serially, or on any worker thread. The golden-ratio stride
+/// decorrelates index from base_seed before the avalanche rounds.
+constexpr std::uint64_t trial_seed(std::uint64_t base_seed,
+                                   std::uint64_t index) noexcept {
+  return util::mix64(base_seed + util::kSplitMixGamma * index);
+}
 
 /// Everything a trial body receives: its index (for configuration lookup)
 /// and a private Rng derived from (base_seed, index).

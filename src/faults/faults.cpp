@@ -12,14 +12,7 @@
 namespace coreda::faults {
 namespace {
 
-/// SplitMix64 finalizer — the same mixer exec::trial_seed uses to split
-/// per-trial streams from one base seed.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 std::uint64_t fnv1a64(const std::string& s) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -171,7 +171,7 @@ class Site {
 /// Owns the plan and the epoch clock; components hand it their sites via
 /// attach(). One injector drives a whole fleet: every attached site derives
 /// its decision stream from the single plan seed split by site name
-/// (SplitMix64 finalization, mirroring exec::trial_seed).
+/// (util::mix64, the SplitMix64 mixer exec::trial_seed also uses).
 class Injector {
  public:
   explicit Injector(FaultPlan plan);

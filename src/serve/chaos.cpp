@@ -241,7 +241,6 @@ ChaosServeSoak::ChaosServeSoak(ChaosServeParams params,
   ep.pool.seed = 4242;
   ep.drift.threshold = params_.threshold;
   ep.retrain.enabled = true;
-  ep.retrain.lane_width = params_.lane_width;
   // Every (users/drifted)-th user is stale, spreading the cohort across
   // slots and lanes so recovery is not an artifact of one shard.
   is_drifted_.assign(params_.users, false);

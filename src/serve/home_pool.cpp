@@ -8,9 +8,8 @@
 
 namespace coreda::serve {
 
-HomePool::HomePool(const adl::AdlLibrary& library, BundleStore& store,
-                   HomePoolParams params)
-    : library_(&library), store_(&store) {
+HomePool::HomePool(const adl::AdlLibrary& library, HomePoolParams params)
+    : library_(&library) {
   if (params.slots == 0) {
     throw std::invalid_argument("HomePool: slots must be > 0");
   }
@@ -34,7 +33,31 @@ HomePool::HomePool(const adl::AdlLibrary& library, BundleStore& store,
   }
 }
 
+UserId HomePool::add_user(std::string name) {
+  users_.push_back(User{std::move(name), {}, 0});
+  return static_cast<UserId>(users_.size() - 1);
+}
+
+const std::string& HomePool::user_name(UserId user) const {
+  return users_.at(user).name;
+}
+
+const std::string& HomePool::bundle(UserId user) const {
+  return users_.at(user).bundle;
+}
+
+std::uint64_t HomePool::version(UserId user) const {
+  return users_.at(user).version;
+}
+
+void HomePool::adopt_bundle(UserId user, std::string record) {
+  User& entry = users_.at(user);
+  entry.bundle = std::move(record);
+  ++entry.version;
+}
+
 void HomePool::checkout(UserId user, Slot& slot) {
+  const std::string& record = users_.at(user).bundle;
   if (slot.resident == user) {
     ++slot.hits;
     return;
@@ -42,7 +65,7 @@ void HomePool::checkout(UserId user, Slot& slot) {
   ++slot.swaps;
   slot.resident = user;
 
-  if (store_->has_bundle(user)) {
+  if (!record.empty()) {
     // Decode the user's one bundle record into scratch tables; only when
     // *every* entry validates do the slot's learners adopt them.
     std::vector<rl::QTable> staged;
@@ -57,7 +80,7 @@ void HomePool::checkout(UserId user, Slot& slot) {
           learner.action_codec().tools(), &staged.back()});
     }
     try {
-      std::istringstream in(store_->bytes(user));
+      std::istringstream in(record);
       planning::load_policy_bundle(in, wanted);
       for (std::size_t i = 0; i < staged.size(); ++i) {
         slot.home->import_policy(library_->adls()[i].name(), staged[i]);
@@ -82,9 +105,11 @@ void HomePool::stage_back(UserId user, Slot& slot) {
         adl.name(), learner.state_codec().symbols(),
         learner.action_codec().tools(), &learner.q()});
   }
+  User& entry = users_[user];
   std::ostringstream out;
-  planning::save_policy_bundle(out, items, store_->version(user) + 1);
-  store_->stage(user, out.str());
+  planning::save_policy_bundle(out, items, entry.version + 1);
+  entry.bundle = std::move(out).str();
+  ++entry.version;
 }
 
 core::HomeScriptResult HomePool::serve_script(

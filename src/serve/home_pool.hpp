@@ -3,10 +3,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/home.hpp"
-#include "serve/bundle_store.hpp"
+#include "serve/policy_store.hpp"
 
 namespace coreda::serve {
 
@@ -38,26 +39,47 @@ struct HomePoolParams {
 /// policies from their ONE bundle record, or fall back to the donor
 /// baseline when they have none — or theirs is corrupt) -> run the scripted
 /// session -> stage every ADL policy back into a fresh bundle record.
-/// Because all of a user's ADLs live in one checksummed record, a user who
-/// interleaves tea-making and tooth-brushing mid-session can never check
-/// out a torn policy set.
+///
+/// The pool owns each user's "coreda-bundle v1" record: every ADL's v2
+/// record framed into one checksummed blob (planning::save_policy_bundle).
+/// Because all of a user's ADLs live in one record, a user who interleaves
+/// tea-making and tooth-brushing mid-session can never check out a torn
+/// policy set. Records are memory-only and opaque until checkout, which
+/// decodes them against the slot's learners (a corrupt record counts as a
+/// rejected bundle, never an error mid-serve).
 ///
 /// Determinism: static sharding (slot = user % slots) plus per-slot seeds
-/// make every outcome a pure function of (params, store contents, request
+/// make every outcome a pure function of (params, bundle records, request
 /// order). The ScenarioRunner runs one trial per slot on the exec pool, so
 /// any --jobs value produces byte-identical results.
 ///
-/// Thread-safety: calls for users of different slots may run concurrently
-/// (disjoint deployments, disjoint store entries); calls within one slot
-/// must be serialized — which per-slot trial sharding gives for free.
+/// Thread-safety: add_user() and adopt_bundle() are setup-phase only.
+/// Calls for users of different slots may run concurrently (disjoint
+/// deployments, disjoint user entries — the entry vector never moves after
+/// setup); calls within one slot must be serialized — which per-slot trial
+/// sharding gives for free.
 class HomePool {
  public:
   static constexpr UserId kNoUser = std::numeric_limits<UserId>::max();
 
-  /// `library` and `store` must outlive the pool. The donor pretrains and
-  /// every slot is built warm here — construction is the expensive phase.
-  HomePool(const adl::AdlLibrary& library, BundleStore& store,
-           HomePoolParams params = {});
+  /// `library` must outlive the pool. The donor pretrains and every slot is
+  /// built warm here — construction is the expensive phase.
+  HomePool(const adl::AdlLibrary& library, HomePoolParams params = {});
+
+  /// Registers a user with no bundle yet (their first checkout serves the
+  /// donor baseline). Setup-phase only.
+  UserId add_user(std::string name);
+  const std::string& user_name(UserId user) const;
+
+  /// The user's current bundle record, empty before their first session.
+  const std::string& bundle(UserId user) const;
+  /// Bumped by every stage-back and adopt_bundle(); 0 before the first.
+  std::uint64_t version(UserId user) const;
+
+  /// Adopts `record` from outside as the user's bundle (a restore, or a
+  /// deliberately damaged record) and bumps their version. The record is
+  /// validated only at the user's next checkout.
+  void adopt_bundle(UserId user, std::string record);
 
   std::size_t slots() const noexcept { return slots_.size(); }
   std::size_t slot_for(UserId user) const noexcept {
@@ -94,11 +116,17 @@ class HomePool {
     std::uint64_t rejected = 0;
   };
 
+  struct User {
+    std::string name;
+    std::string bundle;
+    std::uint64_t version = 0;
+  };
+
   void checkout(UserId user, Slot& slot);
   void stage_back(UserId user, Slot& slot);
 
   const adl::AdlLibrary* library_;
-  BundleStore* store_;
+  std::vector<User> users_;
   std::unique_ptr<core::HomeDeployment> donor_;
   std::vector<Slot> slots_;
 };

@@ -21,26 +21,15 @@ RetrainScheduler::RetrainScheduler(const adl::Adl& adl, PolicyStore& store,
     throw std::invalid_argument(
         "RetrainScheduler: min_transcripts and replay_passes must be >= 1");
   }
-  if (params_.lane_width == 0) {
-    throw std::invalid_argument("RetrainScheduler: lane_width must be >= 1");
-  }
   lane_queues_.reserve(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     Lane lane;
-    // One warm learner per lane, rebuilt for every job via
-    // begin_retraining; the placeholder seed never trains anything.
-    lane.learner = std::make_unique<planning::RoutineLearner>(
-        adl, util::Rng(0), learner_config);
-    if (params_.lane_width > 1) {
-      // The lockstep replay engine; transcript slots bound episode length,
-      // so pre-sizing its traces/scratch here makes retrains alloc-free.
-      lane.trainer = std::make_unique<planning::LaneTrainer>(
-          adl, params_.lane_width, learner_config,
-          params_.max_transcript_steps);
-      const rl::QTable& shape = lane.learner->q();
-      lane.scratch = std::make_unique<rl::QTable>(shape.num_states(),
-                                                  shape.num_actions());
-    }
+    // Transcript slots bound episode length, so pre-sizing the trainer's
+    // traces/scratch here makes retrains alloc-free.
+    lane.trainer = std::make_unique<planning::LaneTrainer>(
+        adl, kLaneWidth, learner_config, params_.max_transcript_steps);
+    lane.scratch = std::make_unique<rl::QTable>(lane.trainer->num_states(),
+                                                lane.trainer->num_actions());
     lane_queues_.push_back(std::move(lane));
   }
 }
@@ -110,23 +99,8 @@ std::size_t RetrainScheduler::queued() const noexcept {
 }
 
 std::size_t RetrainScheduler::retrain_user(UserId user) {
-  const Ring& r = ring(user);
-  planning::RoutineLearner& learner = *lane_queues_[lane_for(user)].learner;
-  // The retrain stream is keyed by the user, not the trial: the outcome
-  // cannot depend on which lane (or how many) the job shares a drain with.
-  learner.begin_retraining(store_->q(user),
-                           util::Rng(exec::trial_seed(params_.seed, user)));
-  std::size_t episodes = 0;
-  for (std::size_t pass = 0; pass < params_.replay_passes; ++pass) {
-    for (std::size_t i = 0; i < r.count; ++i) {
-      learner.train_episode(transcript(user, i));
-      ++episodes;
-    }
-  }
-  // Stage the refreshed table back: a new version for the store, flushed to
-  // disk on the same wear batch as any serve-path write-back.
-  stage_retrained(user, learner.q());
-  return episodes;
+  (void)ring(user);  // validate the id
+  return retrain_batch(lane_for(user), {&user, 1});
 }
 
 bool RetrainScheduler::stage_retrained(UserId user, const rl::QTable& q) {
@@ -154,14 +128,16 @@ std::size_t RetrainScheduler::retrain_batch(std::size_t lane,
                                             std::span<const UserId> users) {
   planning::LaneTrainer& trainer = *lane_queues_[lane].trainer;
   std::size_t episodes = 0;
+  // The retrain stream is keyed by the user, not the trial: the outcome
+  // cannot depend on which lane (or how many) the job shares a drain with.
   for (std::size_t i = 0; i < users.size(); ++i) {
     trainer.begin_retraining(
         i, store_->q(users[i]),
         util::Rng(exec::trial_seed(params_.seed, users[i])));
   }
-  // Pass-major lockstep over every slot's replay sequence (the exact
-  // episode order retrain_user feeds its scalar learner), ragged when
-  // users' rings hold different transcript counts.
+  // Pass-major lockstep over every slot's replay sequence (the whole ring,
+  // oldest to newest, replay_passes times), ragged when users' rings hold
+  // different transcript counts.
   for (std::size_t round = 0;; ++round) {
     bool any = false;
     for (std::size_t i = 0; i < users.size(); ++i) {
@@ -174,6 +150,8 @@ std::size_t RetrainScheduler::retrain_batch(std::size_t lane,
     if (!any) break;
     trainer.train_queued();
   }
+  // Stage the refreshed tables back: a new version for the store, flushed
+  // to disk on the same wear batch as any serve-path write-back.
   rl::QTable& scratch = *lane_queues_[lane].scratch;
   for (std::size_t i = 0; i < users.size(); ++i) {
     trainer.export_q(i, scratch);
@@ -186,30 +164,21 @@ std::span<const UserId> RetrainScheduler::drain(exec::TrialRunner& runner) {
   retrained_.clear();
   if (queued() == 0) return retrained_;
 
-  // One trial per lane, like the engine's serve drain: a lane's jobs run
-  // serially in enqueue order on whichever worker takes the trial. Jobs of
-  // one lane share that lane's learner; jobs of different lanes touch
-  // disjoint learners, rings and store entries. With lane_width > 1 the
-  // lane queue is chunked through the lane's lockstep trainer instead —
-  // same per-user streams, same staging order, byte-identical outcome.
-  const std::size_t width = params_.lane_width;
+  // One trial per lane, like the engine's serve drain: a lane's queue is
+  // chunked through its lockstep trainer in enqueue order on whichever
+  // worker takes the trial. Jobs of different lanes touch disjoint
+  // trainers, rings and store entries.
   std::vector<std::size_t> lane_episodes(lane_queues_.size(), 0);
   runner.run(lane_queues_.size(), /*base_seed=*/0,
              [&](exec::TrialContext& ctx) -> char {
                const std::vector<UserId>& queue =
                    lane_queues_[ctx.index].queue;
-               if (width > 1) {
-                 for (std::size_t base = 0; base < queue.size();
-                      base += width) {
-                   const std::size_t n =
-                       std::min(width, queue.size() - base);
-                   lane_episodes[ctx.index] += retrain_batch(
-                       ctx.index, {queue.data() + base, n});
-                 }
-               } else {
-                 for (const UserId user : queue) {
-                   lane_episodes[ctx.index] += retrain_user(user);
-                 }
+               for (std::size_t base = 0; base < queue.size();
+                    base += kLaneWidth) {
+                 const std::size_t n =
+                     std::min(kLaneWidth, queue.size() - base);
+                 lane_episodes[ctx.index] += retrain_batch(
+                     ctx.index, {queue.data() + base, n});
                }
                return 0;
              });

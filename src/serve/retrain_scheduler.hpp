@@ -9,7 +9,6 @@
 #include "core/system.hpp"
 #include "exec/trial_runner.hpp"
 #include "planning/lane_trainer.hpp"
-#include "planning/learner.hpp"
 #include "serve/policy_store.hpp"
 
 namespace coreda::serve {
@@ -46,18 +45,12 @@ struct RetrainParams {
   /// retrained again — gives the refreshed policy time to move the EWMA
   /// (and fresh transcripts time to displace pre-retrain ones).
   std::size_t cooldown_sessions = 4;
-  /// Users replayed in lockstep per lane batch during drain. 1 keeps the
-  /// scalar path (one warm RoutineLearner per lane); >1 steps chunks of the
-  /// lane queue through a SoA planning::LaneTrainer. Per-user results are
-  /// byte-identical either way — retrain streams are seeded per user and
-  /// lane slots never interact — so this is purely a throughput knob.
-  std::size_t lane_width = 1;
 };
 
 /// Cumulative retraining counters, reported through the ServeReport.
 struct RetrainCounters {
   std::uint64_t jobs = 0;      ///< retrain jobs executed
-  std::uint64_t episodes = 0;  ///< transcript replays fed to lane learners
+  std::uint64_t episodes = 0;  ///< transcript replays fed to lane trainers
   std::uint64_t aborted = 0;   ///< jobs killed by "retrain.abort" before
                                ///< staging (retried after the cooldown)
   std::uint64_t crashed_stages = 0;  ///< staged write-backs whose disk flush
@@ -73,20 +66,27 @@ struct RetrainCounters {
 /// ring is deep enough. Draining the queue fans one trial per lane across
 /// the exec pool — the same static shard the SystemPool serves with (lane =
 /// user % lanes), so a job set retrains byte-identically at any --jobs.
-/// Each job re-arms its lane's warm RoutineLearner on the user's current
-/// PolicyStore table (begin_retraining: import + reseed + ε restart),
-/// replays the ring, and stages the refreshed table straight back — a new
-/// version, wear-batched to disk like any serve-path write-back.
+/// Each lane replays its queue kLaneWidth users at a time through one warm
+/// planning::LaneTrainer: every slot is re-armed on its user's current
+/// PolicyStore table (begin_retraining: import + reseed + ε restart), the
+/// rings are replayed in lockstep, and each refreshed table is staged
+/// straight back — a new version, wear-batched to disk like any serve-path
+/// write-back. Per-user results are byte-identical to a scalar
+/// RoutineLearner replay: retrain streams are seeded per user and lane
+/// slots never interact.
 ///
 /// Thread-safety mirrors the serving tier: record() calls for users of
 /// different lanes may run concurrently (disjoint rings); enqueue() and
-/// drain() are drain-loop-serial. Lane learners are touched only by their
+/// drain() are drain-loop-serial. Lane trainers are touched only by their
 /// lane's trial.
 class RetrainScheduler {
  public:
+  /// Users replayed in lockstep per lane batch.
+  static constexpr std::size_t kLaneWidth = 8;
+
   /// `adl` and `store` must outlive the scheduler. `lanes` fixes the trial
   /// fan-out width (the engine passes its pool's slot count); one warm
-  /// learner per lane is built up front with `learner_config` — the same
+  /// trainer per lane is built up front with `learner_config` — the same
   /// config the serving systems plan with, so a retrained table prices
   /// prompts exactly like the tables it replaces.
   RetrainScheduler(const adl::Adl& adl, PolicyStore& store,
@@ -125,15 +125,13 @@ class RetrainScheduler {
   /// Deterministic at any runner job count.
   std::span<const UserId> drain(exec::TrialRunner& runner);
 
-  /// Runs one retrain immediately on the calling thread (the serial core
-  /// drain() fans out; also the hook the allocation tests probe). Returns
-  /// the episodes replayed.
+  /// Runs one retrain immediately on the calling thread: a batch of one
+  /// (the hook the allocation tests probe). Returns the episodes replayed.
   std::size_t retrain_user(UserId user);
 
-  /// Lockstep-retrains up to lane_width users of one lane through its
-  /// LaneTrainer (the drain inner loop when lane_width > 1; public for the
-  /// allocation tests). All users must belong to `lane`. Returns the
-  /// episodes replayed.
+  /// Lockstep-retrains up to kLaneWidth users of one lane through its
+  /// LaneTrainer (the drain inner loop). All users must belong to `lane`.
+  /// Returns the episodes replayed.
   std::size_t retrain_batch(std::size_t lane, std::span<const UserId> users);
 
   /// Cumulative counters. By value: the abort/crash tallies live in
@@ -170,8 +168,7 @@ class RetrainScheduler {
   };
 
   struct Lane {
-    std::unique_ptr<planning::RoutineLearner> learner;
-    /// Lockstep replay engine, built only when lane_width > 1.
+    /// Lockstep replay engine, reused by every batch of the lane.
     std::unique_ptr<planning::LaneTrainer> trainer;
     /// Scatter target reused across jobs so staging stays allocation-free.
     std::unique_ptr<rl::QTable> scratch;

@@ -8,18 +8,12 @@
 
 #include "exec/trial_runner.hpp"
 #include "patient/profile.hpp"
+#include "util/rng.hpp"
 
 namespace coreda::serve {
 namespace {
 
-/// SplitMix64 finalizer (same construction as faults::mix64) — the digest
-/// primitive behind the per-session checksum and per-user severity offsets.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+using util::mix64;
 
 double unit_interval(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -118,32 +112,25 @@ core::SessionScript compile_script(const sim::ScenarioPlan& plan) {
   return script;
 }
 
-ScenarioRunner::ScenarioRunner(ScenarioRunnerParams params)
+ScenarioRunner::ScenarioRunner(HomePoolParams params)
     : params_(std::move(params)) {}
 
 ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
                                     std::size_t jobs) const {
   const adl::AdlLibrary library;
-  BundleStore store;  // memory-only: rounds share policies, nothing on disk
-  for (std::uint64_t u = 0; u < plan.users; ++u) {
-    store.add_user("user" + std::to_string(u));
-  }
-
-  HomePoolParams pool_params;
-  pool_params.slots = params_.slots;
+  HomePoolParams pool_params = params_;
   pool_params.seed = plan.seed;
-  pool_params.system = params_.system;
-  pool_params.tracker = params_.tracker;
-  pool_params.pretrain_episodes = params_.pretrain_episodes;
-  pool_params.pretrain_seed = params_.pretrain_seed;
-  HomePool pool(library, store, pool_params);
+  HomePool pool(library, pool_params);
+  for (std::uint64_t u = 0; u < plan.users; ++u) {
+    pool.add_user("user" + std::to_string(u));
+  }
 
   const core::SessionScript script = compile_script(plan);
   const sim::Duration deadline = sim::Duration::minutes(plan.max_minutes);
 
   // One trial per slot: slot s serves exactly the users it owns
   // (u % slots == s), in (round, arrival-order) order. Slots touch
-  // disjoint deployments and disjoint store entries, so trials are
+  // disjoint deployments and disjoint user entries, so trials are
   // data-race-free and the outcome is independent of `jobs`.
   exec::TrialRunner runner(jobs);
   const std::vector<SlotOutcome> outcomes = runner.run(
@@ -153,7 +140,7 @@ ScenarioSummary ScenarioRunner::run(const sim::ScenarioPlan& plan,
           for (const UserId user : arrivals_for_round(plan, r)) {
             if (pool.slot_for(user) != ctx.index) continue;
             const patient::PatientProfile profile =
-                profile_for(plan, store.user_name(user), user, r);
+                profile_for(plan, pool.user_name(user), user, r);
             const core::HomeScriptResult result =
                 pool.serve_script(user, script, profile, deadline);
             fold_session(out.sum, plan, user, r, result);

@@ -14,17 +14,6 @@ namespace coreda::serve {
 /// by run_script against the live library.
 core::SessionScript compile_script(const sim::ScenarioPlan& plan);
 
-struct ScenarioRunnerParams {
-  /// Pool width; scenario users shard to slot = user % slots. One exec
-  /// trial per slot keeps any --jobs byte-identical.
-  std::size_t slots = 4;
-  core::SystemConfig system{};
-  recognition::ActivityTracker::Params tracker{
-      .switch_window = 2, .switch_threshold = 0.8, .switch_patience = 1};
-  std::size_t pretrain_episodes = 120;
-  std::uint64_t pretrain_seed = 7;
-};
-
 /// Aggregate outcome of one scenario run, summed over every session of
 /// every round. All fields are exact integers (plus one order-independent
 /// digest), so the regression corpus can gate them with equality.
@@ -63,8 +52,8 @@ struct ScenarioSummary {
 /// Executes a scenario plan against a HomePool: `plan.users` users play the
 /// compiled script for `plan.rounds` rounds, with per-round severity drift,
 /// compliance decay, and the plan's arrival pattern. Policies persist
-/// across rounds through a memory-only BundleStore, so round r+1 serves the
-/// policies round r staged — drift meets adaptation, as in the paper's
+/// across rounds in the pool's per-user bundle records, so round r+1 serves
+/// the policies round r staged — drift meets adaptation, as in the paper's
 /// multi-week deployments.
 ///
 /// Determinism: one exec trial per pool slot; slot s serves exactly the
@@ -74,13 +63,17 @@ struct ScenarioSummary {
 /// return identical summaries, bit for bit.
 class ScenarioRunner {
  public:
-  explicit ScenarioRunner(ScenarioRunnerParams params = {});
+  /// Every pool built by run() uses `params`, except that the plan
+  /// supplies the seed (HomePoolParams::seed is ignored). Users shard to
+  /// slot = user % params.slots; one exec trial per slot keeps any --jobs
+  /// byte-identical.
+  explicit ScenarioRunner(HomePoolParams params = {});
 
   ScenarioSummary run(const sim::ScenarioPlan& plan,
                       std::size_t jobs = 1) const;
 
  private:
-  ScenarioRunnerParams params_;
+  HomePoolParams params_;
 };
 
 /// The per-scenario metric block printed by bench_scenario_corpus, `coreda

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace coreda::serve {
 
 // ---------------------------------------------------------------------------
@@ -109,21 +111,14 @@ class UserIndex {
                static_cast<std::uint32_t>(e & (kMaxOff8 - 1))};
   }
 
-  /// splitmix64 finalizer: dense sequential user ids hash to well-spread
-  /// slots so linear probing stays O(1) at 7/8 load.
-  static std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-  }
-
-  /// Maps a hash onto [0, cap) without requiring a power-of-two capacity
-  /// (fastrange: the high word of a 128-bit product).
+  /// Maps a user id onto [0, cap) without requiring a power-of-two
+  /// capacity: util::mix64 spreads dense sequential ids so linear probing
+  /// stays O(1) at 7/8 load, and fastrange (the high word of a 128-bit
+  /// product) scales the hash.
   static std::size_t home(std::uint64_t user, std::size_t cap) noexcept {
     __extension__ typedef unsigned __int128 u128;
-    return static_cast<std::size_t>((static_cast<u128>(mix(user)) * cap) >>
-                                    64);
+    return static_cast<std::size_t>(
+        (static_cast<u128>(util::mix64(user)) * cap) >> 64);
   }
 
   static std::size_t probe_distance(std::uint64_t e, std::size_t slot,

@@ -4,21 +4,11 @@
 
 namespace coreda::util {
 
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) noexcept {
-  std::uint64_t s = seed;
-  for (auto& lane : state_) lane = splitmix64(s);
+  for (auto& lane : state_) {
+    lane = mix64(seed);
+    seed += kSplitMixGamma;
+  }
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {

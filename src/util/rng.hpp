@@ -8,6 +8,19 @@
 
 namespace coreda::util {
 
+/// SplitMix64 increment: the 64-bit golden ratio.
+inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
+
+/// SplitMix64 output for state `x`: advance by kSplitMixGamma, then the
+/// avalanche finalizer. The one mixer behind Rng seeding, exec::trial_seed,
+/// fault decision streams, scenario digests and the fleet user-index probe.
+constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random number generator (xoshiro256**).
 ///
 /// Every stochastic component in CoReDA draws from an explicitly seeded Rng
@@ -24,8 +37,9 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  /// Seeds the four 64-bit lanes from a single seed via splitmix64.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  /// Seeds the four 64-bit lanes from a single seed via SplitMix64 (lane i
+  /// = mix64(seed + i·kSplitMixGamma)).
+  explicit Rng(std::uint64_t seed = kSplitMixGamma) noexcept;
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string_view>
 
 namespace coreda::core {
 namespace {
@@ -123,6 +126,101 @@ TEST_F(HomeFixture, ImpairedResidentsStillMostlyComplete) {
   // Recognition can stay pending when the hinted planner does all the
   // work before enough steps are observed; completion is the contract.
   EXPECT_GE(recognized, kSessions / 2);
+}
+
+
+/// FNV-1a over the bytes of each folded value: the digest behind the
+/// session-outcome golden below (independent of the library's mixers).
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void str(std::string_view s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+};
+
+struct SessionGolden {
+  std::uint64_t digest = 0;
+  std::size_t sessions = 0;
+  std::size_t completed = 0;
+  std::size_t capped = 0;  ///< ended at the deadline, not by finishing
+  std::size_t prompts = 0;
+  std::size_t switches = 0;
+};
+
+/// 240 sessions over six deployments (odd seeds with recognition-gated
+/// switching on): every ADL, no hint / matching hint / wrong hint, mild to
+/// severe residents, frozen starters, and 1-minute deadlines that cut
+/// sessions short. Every HomeSessionResult field and the scheduler's
+/// events_fired() after each session feed the digest.
+SessionGolden run_session_corpus(const adl::AdlLibrary& library) {
+  static constexpr const char* kAdls[] = {"Tea-making", "Tooth-brushing",
+                                          "Hand-washing", "Dressing"};
+  Fnv1a fnv;
+  SessionGolden out;
+  for (std::uint64_t seed = 11; seed < 17; ++seed) {
+    SystemConfig config;
+    config.seed = seed;
+    HomeDeployment home(library, config);
+    home.pretrain(60, seed + 1);
+    if (seed % 2 == 1) {
+      home.set_tracker_params({.switch_window = 2,
+                               .switch_threshold = 0.8,
+                               .switch_patience = 1});
+    }
+    for (std::size_t i = 0; i < 40; ++i) {
+      const std::string adl = kAdls[i % 4];
+      std::string hint;
+      if (i % 3 == 1) hint = adl;                  // matching hint
+      if (i % 3 == 2) hint = kAdls[(i + 1) % 4];   // wrong hint
+      patient::PatientProfile profile = patient::PatientProfile::with_severity(
+          "Resident", 0.1 * static_cast<double>(i % 9));
+      if (i % 7 == 3) profile.p_idle = 1.0;  // frozen starter
+      const sim::Duration cap = i % 5 == 4 ? sim::Duration::minutes(1.0)
+                                           : sim::Duration::minutes(30.0);
+      const HomeSessionResult r = home.run_session(adl, profile, cap, hint);
+
+      fnv.str(r.actual_adl);
+      fnv.str(r.recognized_adl);
+      fnv.u64(r.recognized_correctly ? 1 : 0);
+      fnv.u64(r.steps_to_recognition);
+      fnv.u64(r.completed ? 1 : 0);
+      fnv.u64(std::bit_cast<std::uint64_t>(
+          static_cast<std::int64_t>(r.elapsed.total_micros())));
+      fnv.u64(r.prompts_total);
+      fnv.u64(r.praises);
+      fnv.u64(r.wrong_tool_recoveries);
+      fnv.u64(r.segment_switches);
+      fnv.u64(home.scheduler().events_fired());
+
+      ++out.sessions;
+      out.completed += r.completed ? 1 : 0;
+      out.capped += !r.completed && r.elapsed >= cap ? 1 : 0;
+      out.prompts += r.prompts_total;
+      out.switches += r.segment_switches;
+    }
+  }
+  out.digest = fnv.h;
+  return out;
+}
+
+TEST_F(HomeFixture, SessionOutcomesMatchGolden) {
+  const SessionGolden g = run_session_corpus(library);
+  // Coverage: capped and completed sessions both occur in the corpus.
+  EXPECT_EQ(g.sessions, 240u);
+  EXPECT_EQ(g.completed, 130u);
+  EXPECT_EQ(g.capped, 110u);
+  EXPECT_EQ(g.prompts, 1497u);
+  EXPECT_EQ(g.switches, 12u);
+  EXPECT_EQ(g.digest, 0x1387d93511b6c048ULL);
 }
 
 }  // namespace

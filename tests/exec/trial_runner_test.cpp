@@ -22,6 +22,26 @@ TEST(TrialSeedTest, IsAPureFunctionOfThePair) {
   EXPECT_NE(trial_seed(42, 7), trial_seed(43, 7));
 }
 
+// One SplitMix64: util::mix64 is the published SplitMix64 output, and
+// trial_seed(base, i) is mix64 over the golden-ratio stride. The pinned
+// values come from the written-out SplitMix64 formula, not from mix64.
+TEST(TrialSeedTest, IsSplitMix64OverTheGoldenStride) {
+  static_assert(util::mix64(0) == 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(trial_seed(0, 0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(trial_seed(42, 7), 0xccf635ee9e9e2fa4ULL);
+  EXPECT_EQ(trial_seed(~0ULL, ~0ULL), 0xb4d055fcf2cbbd7bULL);
+  EXPECT_EQ(trial_seed(515151, 23), 0xe968bf0257d99e0bULL);
+  util::Rng rng(2024);
+  for (int k = 0; k < 10000; ++k) {
+    const std::uint64_t base = rng();
+    const std::uint64_t index = rng();
+    ASSERT_EQ(trial_seed(base, index),
+              util::mix64(base + 0x9e3779b97f4a7c15ULL * index));
+  }
+  // Rng seeding runs the same mixer: Rng(42)'s first output.
+  EXPECT_EQ(util::Rng(42)(), 0x15780b2e0c2ec716ULL);
+}
+
 TEST(TrialSeedTest, NeighboringIndicesGetDistinctStreams) {
   std::set<std::uint64_t> seeds;
   for (std::uint64_t i = 0; i < 1000; ++i) seeds.insert(trial_seed(1, i));

@@ -6,7 +6,7 @@
 //
 // Determinism is gated alongside: each plan runs at jobs=1 and jobs=4 and
 // the two reports must be byte-identical — the scenario-level version of
-// the TrialRunner contract, across HomePool, BundleStore and run_script.
+// the TrialRunner contract, across HomePool and run_script.
 #include <gtest/gtest.h>
 
 #include <algorithm>

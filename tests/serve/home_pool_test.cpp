@@ -2,7 +2,6 @@
 // (every ADL) checks in and out of the pool as one checksummed bundle.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 
 #include "serve/home_pool.hpp"
@@ -46,11 +45,10 @@ struct HomePoolFixture : ::testing::Test {
 };
 
 TEST_F(HomePoolFixture, ServeRoundTripStagesABundle) {
-  BundleStore store;
-  const UserId user = store.add_user("Tanaka");
-  HomePool pool(library, store, pool_params());
+  HomePool pool(library, pool_params());
+  const UserId user = pool.add_user("Tanaka");
 
-  EXPECT_FALSE(store.has_bundle(user));
+  EXPECT_TRUE(pool.bundle(user).empty());
   const core::HomeScriptResult result =
       pool.serve_script(user, interleaved(), mild(), deadline());
 
@@ -59,20 +57,19 @@ TEST_F(HomePoolFixture, ServeRoundTripStagesABundle) {
   EXPECT_TRUE(result.completed);
   EXPECT_GE(result.session.segment_switches, 2u);
   // ...and stages the user's whole policy set as ONE bundle record.
-  EXPECT_TRUE(store.has_bundle(user));
-  EXPECT_EQ(store.version(user), 1u);
+  EXPECT_FALSE(pool.bundle(user).empty());
+  EXPECT_EQ(pool.version(user), 1u);
 
   pool.serve_script(user, interleaved(), mild(), deadline());
-  EXPECT_EQ(store.version(user), 2u);
+  EXPECT_EQ(pool.version(user), 2u);
   EXPECT_EQ(pool.rejected_bundles(), 0u);
 }
 
 TEST_F(HomePoolFixture, ResidencyCountersTrackHitsAndSwaps) {
-  BundleStore store;
-  const UserId a = store.add_user("A");  // slot 0
-  store.add_user("B");
-  const UserId c = store.add_user("C");  // slot 0: evicts A
-  HomePool pool(library, store, pool_params());
+  HomePool pool(library, pool_params());
+  const UserId a = pool.add_user("A");  // slot 0
+  pool.add_user("B");
+  const UserId c = pool.add_user("C");  // slot 0: evicts A
 
   pool.serve_script(a, interleaved(), mild(), deadline());
   pool.serve_script(a, interleaved(), mild(), deadline());  // resident: hit
@@ -87,16 +84,15 @@ TEST_F(HomePoolFixture, ResidencyCountersTrackHitsAndSwaps) {
 }
 
 TEST_F(HomePoolFixture, CorruptBundleFallsBackToBaseline) {
-  BundleStore store;
-  const UserId a = store.add_user("A");
-  store.add_user("B");
-  const UserId c = store.add_user("C");  // shares slot 0 with A
-  HomePool pool(library, store, pool_params());
+  HomePool pool(library, pool_params());
+  const UserId a = pool.add_user("A");
+  pool.add_user("B");
+  const UserId c = pool.add_user("C");  // shares slot 0 with A
 
   pool.serve_script(a, interleaved(), mild(), deadline());
-  std::string bad = store.bytes(a);
+  std::string bad = pool.bundle(a);
   bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x40);
-  store.stage(a, bad);
+  pool.adopt_bundle(a, bad);
 
   pool.serve_script(c, interleaved(), mild(), deadline());  // evict A
   const core::HomeScriptResult result =
@@ -111,35 +107,30 @@ TEST_F(HomePoolFixture, CorruptBundleFallsBackToBaseline) {
   EXPECT_EQ(pool.rejected_bundles(), 1u);  // replacement loads cleanly
 }
 
-TEST_F(HomePoolFixture, RestartRestoresFromDisk) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "coreda_bundles")
-          .string();
-  std::filesystem::remove_all(dir);
+TEST_F(HomePoolFixture, AdoptedBundleServesInANewPool) {
   std::string staged;
   {
-    BundleStore store(BundleStoreParams{.dir = dir});
-    const UserId user = store.add_user("Tanaka");
-    HomePool pool(library, store, pool_params());
+    HomePool pool(library, pool_params());
+    const UserId user = pool.add_user("Tanaka");
     pool.serve_script(user, interleaved(), mild(), deadline());
-    EXPECT_EQ(store.disk_writes(), 1u);
-    staged = store.bytes(user);
+    staged = pool.bundle(user);
   }
 
-  // Cold restart: a new store over the same directory recovers the bundle
-  // byte-for-byte, and a new pool serves from it without rejection.
-  BundleStore store(BundleStoreParams{.dir = dir});
-  const UserId user = store.add_user("Tanaka");
-  store.restore_all();
-  ASSERT_TRUE(store.has_bundle(user));
-  EXPECT_EQ(store.bytes(user), staged);
+  // Restart: a new pool adopts the carried-over record byte-for-byte and
+  // serves from it without rejection.
+  HomePool pool(library, pool_params());
+  const UserId user = pool.add_user("Tanaka");
+  pool.adopt_bundle(user, staged);
+  EXPECT_EQ(pool.bundle(user), staged);
+  EXPECT_EQ(pool.version(user), 1u);
 
-  HomePool pool(library, store, pool_params());
   const core::HomeScriptResult result =
       pool.serve_script(user, interleaved(), mild(), deadline());
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(pool.rejected_bundles(), 0u);
-  std::filesystem::remove_all(dir);
+  EXPECT_EQ(pool.version(user), 2u);
+  EXPECT_THROW(pool.serve_script(user + 1, interleaved(), mild(), deadline()),
+               std::out_of_range);
 }
 
 TEST_F(HomePoolFixture, ScenarioRunnerIsJobsInvariant) {
@@ -155,7 +146,7 @@ TEST_F(HomePoolFixture, ScenarioRunnerIsJobsInvariant) {
                 sim::ScenarioPart{.adl = "Tooth-brushing"},
                 sim::ScenarioPart{.adl = "Tea-making", .resume = true}};
 
-  ScenarioRunnerParams params;
+  HomePoolParams params;
   params.slots = 2;
   const ScenarioRunner runner(params);
   const ScenarioSummary serial = runner.run(plan, 1);

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "adl/library.hpp"
@@ -229,6 +230,76 @@ TEST_F(RetrainFixture, ClosedLoopIsByteIdenticalAtAnyJobCount) {
   // Bit-exact tables, not just close ones: the hexfloat dump of every
   // user's final Q-table is the determinism witness.
   EXPECT_EQ(serial.q_hexdump, parallel.q_hexdump);
+}
+
+
+/// Pins the retrained tables bit for bit: 23 users on 3 lanes, rings of
+/// 4..8 transcripts with 4..7 steps each (ragged replay), three drains with
+/// fresh transcripts recorded in between. The digest is FNV-1a over every
+/// user's version and the hexfloat text of every Q value.
+TEST_F(RetrainFixture, RetrainedTablesMatchGolden) {
+  planning::RoutineLearner donor = trained(routine(), 5, 80);
+  planning::RoutineLearner stale = trained(stale_routine(), 6, 120);
+  PolicyStore store(donor);
+  RetrainParams params;
+  params.min_transcripts = 4;
+  RetrainScheduler scheduler(library.tea_making(), store,
+                             planning::LearnerConfig{}, /*lanes=*/3, params);
+  constexpr std::size_t kRetrainUsers = 23;
+  for (std::size_t u = 0; u < kRetrainUsers; ++u) {
+    store.add_user("R" + std::to_string(u),
+                   u % 3 == 0 ? stale.q() : donor.q());
+    scheduler.add_user();
+  }
+
+  const std::vector<adl::StepId> base = routine();
+  const auto record = [&](UserId u, std::size_t n, std::uint64_t salt) {
+    util::Rng rng(exec::trial_seed(salt, u));
+    for (std::size_t k = 0; k < n; ++k) {
+      std::vector<adl::StepId> steps = base;
+      if (rng.bernoulli(0.4)) {
+        std::swap(steps[rng.uniform_int(0, 1)], steps[2]);
+      }
+      if (rng.bernoulli(0.3)) steps.push_back(steps[1]);
+      if (rng.bernoulli(0.3)) steps.push_back(steps[0]);
+      if (rng.bernoulli(0.2)) steps.push_back(steps[2]);
+      scheduler.record(u, steps);
+    }
+  };
+
+  exec::TrialRunner runner(2);
+  std::size_t jobs = 0;
+  for (std::uint64_t drain = 0; drain < 3; ++drain) {
+    for (UserId u = 0; u < kRetrainUsers; ++u) {
+      record(u, 2 + (u + drain) % 3, 77 + drain);
+      if (scheduler.has_enough_transcripts(u) && (u + drain) % 4 != 3) {
+        scheduler.enqueue(u);
+      }
+    }
+    jobs += scheduler.drain(runner).size();
+  }
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::string_view text) {
+    for (const char c : text) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (UserId u = 0; u < kRetrainUsers; ++u) {
+    fold(std::to_string(store.version(u)) + ":");
+    const rl::QTable& q = store.q(u);
+    for (rl::StateId s = 0; s < q.num_states(); ++s) {
+      for (rl::ActionId a = 0; a < q.num_actions(); ++a) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a ", q.get(s, a));
+        fold(buf);
+      }
+    }
+  }
+  EXPECT_EQ(jobs, 40u);
+  EXPECT_EQ(scheduler.counters().episodes, 2096u);
+  EXPECT_EQ(h, 0x461265b23b84a135ULL);
 }
 
 }  // namespace

@@ -14,8 +14,12 @@
 # cover the training, serving and multi-tenant throughput numbers AND every
 # zero-allocation steady-state contract.
 #
+# Every section runs even when an earlier one fails (a banded throughput
+# miss on a loaded host must not hide the exact gates after it); the script
+# names each failing section and exits non-zero at the end if any failed.
+#
 # Usage: tools/bench_regression_test.sh [build-dir] [tolerance]
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
@@ -31,51 +35,79 @@ for bench in bench_fleet_throughput bench_session_throughput \
   fi
 done
 
-FRESH="$BUILD_DIR/BENCH_fleet.fresh.json"
-: > "$FRESH"
-# Warm-up pass, timing discarded — same rationale as tools/bench_parallel.sh.
-"$BUILD_DIR/bench/bench_fleet_throughput" --jobs=1 > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_fleet_throughput" --jobs="$jobs" \
-    --timing-json="$FRESH" > /dev/null
-done
-# Lane-engine record: same fleet, batched through the SoA lane path. The
-# checker keys records by (bench, jobs, lanes), so this gates the batched
-# episodes_per_sec alongside the scalar numbers.
-"$BUILD_DIR/bench/bench_fleet_throughput" --jobs=1 --lanes=16 \
-  --timing-json="$FRESH" > /dev/null
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_fleet.json --tolerance "$TOLERANCE"
+FAILED=()
 
-FRESH="$BUILD_DIR/BENCH_sessions.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_session_throughput" --jobs=1 > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_session_throughput" --jobs="$jobs" \
-    --timing-json="$FRESH" > /dev/null
-done
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_sessions.json --tolerance "$TOLERANCE"
+# Runs one section in a subshell under `set -e` (its first failing command
+# ends only that section) and records the section's name on failure.
+run_section() {
+  local name="$1"
+  shift
+  ( set -e; "$@" )
+  local status=$?
+  if (( status != 0 )); then
+    echo "FAILED: $name (exit $status)" >&2
+    FAILED+=("$name")
+  fi
+}
 
-FRESH="$BUILD_DIR/BENCH_serve.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_serve_throughput" --jobs=1 > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_serve_throughput" --jobs="$jobs" \
+section_fleet_throughput() {
+  FRESH="$BUILD_DIR/BENCH_fleet.fresh.json"
+  : > "$FRESH"
+  # Warm-up pass, timing discarded — same rationale as
+  # tools/bench_parallel.sh.
+  "$BUILD_DIR/bench/bench_fleet_throughput" --jobs=1 > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_fleet_throughput" --jobs="$jobs" \
+      --timing-json="$FRESH" > /dev/null
+  done
+  # Lane-engine record: same fleet, batched through the SoA lane path. The
+  # checker keys records by (bench, jobs, lanes), so this gates the batched
+  # episodes_per_sec alongside the scalar numbers.
+  "$BUILD_DIR/bench/bench_fleet_throughput" --jobs=1 --lanes=16 \
     --timing-json="$FRESH" > /dev/null
-done
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_serve.json --tolerance "$TOLERANCE"
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_fleet.json --tolerance "$TOLERANCE"
+}
+run_section fleet_throughput section_fleet_throughput
 
-FRESH="$BUILD_DIR/BENCH_retrain.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_retrain_recovery" --jobs=1 > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_retrain_recovery" --jobs="$jobs" \
-    --timing-json="$FRESH" > /dev/null
-done
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_retrain.json --tolerance "$TOLERANCE"
+section_session_throughput() {
+  FRESH="$BUILD_DIR/BENCH_sessions.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_session_throughput" --jobs=1 > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_session_throughput" --jobs="$jobs" \
+      --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_sessions.json --tolerance "$TOLERANCE"
+}
+run_section session_throughput section_session_throughput
+
+section_serve_throughput() {
+  FRESH="$BUILD_DIR/BENCH_serve.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_serve_throughput" --jobs=1 > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_serve_throughput" --jobs="$jobs" \
+      --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_serve.json --tolerance "$TOLERANCE"
+}
+run_section serve_throughput section_serve_throughput
+
+section_retrain_recovery() {
+  FRESH="$BUILD_DIR/BENCH_retrain.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_retrain_recovery" --jobs=1 > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_retrain_recovery" --jobs="$jobs" \
+      --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_retrain.json --tolerance "$TOLERANCE"
+}
+run_section retrain_recovery section_retrain_recovery
 
 # Fleet tier: 1M registered users (the bench default) over the mmap
 # segment store. The gate adds the p50/p99/p999 serve-latency percentiles,
@@ -83,43 +115,58 @@ python3 tools/check_bench_regression.py \
 # (resident_bytes_per_user, index_bytes_per_user) and per-retrain append
 # traffic (segment_bytes_per_retrain, append_reduction) contracts on top
 # of throughput and the allocation contract.
-FRESH="$BUILD_DIR/BENCH_fleet_serve.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_fleet_serve" --jobs=1 \
-  --dir="$BUILD_DIR/fleet_serve_bench" > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_fleet_serve" --jobs="$jobs" \
-    --dir="$BUILD_DIR/fleet_serve_bench" --timing-json="$FRESH" > /dev/null
-done
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_fleet_serve.json --tolerance "$TOLERANCE"
+section_fleet_serve() {
+  FRESH="$BUILD_DIR/BENCH_fleet_serve.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_fleet_serve" --jobs=1 \
+    --dir="$BUILD_DIR/fleet_serve_bench" > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_fleet_serve" --jobs="$jobs" \
+      --dir="$BUILD_DIR/fleet_serve_bench" --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py --fresh "$FRESH" \
+    --baseline BENCH_fleet_serve.json --tolerance "$TOLERANCE"
+}
+run_section fleet_serve section_fleet_serve
 
 # Chaos soak: both serving tiers under the standard fault plan. The gate
 # here is correctness-first: invariant_violations and
 # committed_versions_lost are exact counters (0 in the baseline, never
 # hardware-downgraded), recovered_users is an exact floor, and the
 # steady-state allocation contract must survive the fault window closing.
-FRESH="$BUILD_DIR/BENCH_chaos.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_chaos_soak" --jobs=1 \
-  --dir="$BUILD_DIR/chaos_bench" > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_chaos_soak" --jobs="$jobs" \
-    --dir="$BUILD_DIR/chaos_bench" --timing-json="$FRESH" > /dev/null
-done
-python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_chaos.json --tolerance "$TOLERANCE"
+section_chaos_soak() {
+  FRESH="$BUILD_DIR/BENCH_chaos.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_chaos_soak" --jobs=1 \
+    --dir="$BUILD_DIR/chaos_bench" > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_chaos_soak" --jobs="$jobs" \
+      --dir="$BUILD_DIR/chaos_bench" --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_chaos.json --tolerance "$TOLERANCE"
+}
+run_section chaos_soak section_chaos_soak
 
 # Scenario corpus: the committed tests/scenarios/*.scenario plans through
 # the multi-ADL serving tier. Every behavioural counter and the checksum
 # is EQUALITY-gated per (scenario, jobs) — the corpus is the repo's
 # end-to-end behaviour lock, not a throughput gate.
-FRESH="$BUILD_DIR/BENCH_scenarios.fresh.json"
-: > "$FRESH"
-"$BUILD_DIR/bench/bench_scenario_corpus" --jobs=1 > /dev/null
-for jobs in 1 2 4; do
-  "$BUILD_DIR/bench/bench_scenario_corpus" --jobs="$jobs" \
-    --timing-json="$FRESH" > /dev/null
-done
-exec python3 tools/check_bench_regression.py \
-  --fresh "$FRESH" --baseline BENCH_scenarios.json --tolerance "$TOLERANCE"
+section_scenario_corpus() {
+  FRESH="$BUILD_DIR/BENCH_scenarios.fresh.json"
+  : > "$FRESH"
+  "$BUILD_DIR/bench/bench_scenario_corpus" --jobs=1 > /dev/null
+  for jobs in 1 2 4; do
+    "$BUILD_DIR/bench/bench_scenario_corpus" --jobs="$jobs" \
+      --timing-json="$FRESH" > /dev/null
+  done
+  python3 tools/check_bench_regression.py \
+    --fresh "$FRESH" --baseline BENCH_scenarios.json --tolerance "$TOLERANCE"
+}
+run_section scenario_corpus section_scenario_corpus
+
+if (( ${#FAILED[@]} > 0 )); then
+  echo "bench regression: ${#FAILED[@]} section(s) failed: ${FAILED[*]}" >&2
+  exit 1
+fi
+echo "bench regression: all sections passed"

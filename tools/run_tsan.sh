@@ -75,9 +75,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
   --serve-tail-rounds=4 --jobs=4 --dir="$BUILD_DIR/chaos_tsan" > /dev/null
 # The scenario corpus fans whole HomeDeployments (scheduler, radio, tracker,
 # actor) across pool-slot trials while every slot stages bundle records back
-# into the shared BundleStore. Correctness again rests on disjoint static
-# ownership (user -> slot -> trial, user -> store entry); TSan proves the
-# bundle write-back path adds no cross-thread edges.
+# into the HomePool's shared user table. Correctness again rests on disjoint
+# static ownership (user -> slot -> trial, user -> user entry); TSan proves
+# the bundle write-back path adds no cross-thread edges.
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
 
 echo "TSan: all exec/sim/trace-parallel tests, the" \
