@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
@@ -106,48 +107,87 @@ void BM_SensorSample(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorSample);
 
-// --- Idle accelerometer windows: full values vs decisions vs draws ---------
-// One 10-sample idle vote window per iteration at the default threshold
-// (items = samples). The draws-only floor makes the same generator calls
-// as the kernel and nothing else.
+// --- Accelerometer and pressure vote windows: values vs decisions ---------
+// One 10-sample vote window per iteration at the model's default threshold
+// (items = samples): idle (activation 0) or a plateau at activation 0.7,
+// where every accelerometer sample is tilted. The draws-only floor makes
+// the same generator calls as the idle kernel and nothing else.
 
-constexpr std::size_t kIdleWindow = 10;
+constexpr std::size_t kWindow = 10;
+constexpr double kPlateau = 0.7;
+
+// Templates, so the (final) models' calls stay direct, as in the kernels.
+template <typename Model>
+void sample_window(benchmark::State& state, Model& model, double activation) {
+  util::Rng rng(5);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      benchmark::DoNotOptimize(
+          model.sample(sim::TimePoint::origin(), activation, 1.0, rng));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+
+template <typename Model>
+void hit_block_window(benchmark::State& state, Model& model,
+                      double activation) {
+  util::Rng rng(5);
+  double activations[kWindow];
+  std::fill_n(activations, kWindow, activation);
+  std::uint8_t hits[kWindow];
+  for (auto _ : state) {
+    model.hit_block(sim::TimePoint::origin(), sim::Duration::millis(100),
+                    activations, kWindow, 1.0, model.recommended_threshold(),
+                    rng, hits);
+    benchmark::DoNotOptimize(hits);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
 
 void BM_AccelIdleSampleLoop(benchmark::State& state) {
   sensors::AccelerometerModel model;
-  util::Rng rng(5);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kIdleWindow; ++i) {
-      benchmark::DoNotOptimize(
-          model.sample(sim::TimePoint::origin(), 0.0, 1.0, rng));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+  sample_window(state, model, 0.0);
 }
 BENCHMARK(BM_AccelIdleSampleLoop);
 
 void BM_AccelIdleHitBlock(benchmark::State& state) {
   sensors::AccelerometerModel model;
-  util::Rng rng(5);
-  const double activations[kIdleWindow] = {};
-  std::uint8_t hits[kIdleWindow];
-  for (auto _ : state) {
-    model.hit_block(sim::TimePoint::origin(), sim::Duration::millis(100),
-                    activations, kIdleWindow, 1.0,
-                    model.recommended_threshold(), rng, hits);
-    benchmark::DoNotOptimize(hits);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+  hit_block_window(state, model, 0.0);
 }
 BENCHMARK(BM_AccelIdleHitBlock);
+
+void BM_AccelActiveSampleLoop(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  sample_window(state, model, kPlateau);
+}
+BENCHMARK(BM_AccelActiveSampleLoop);
+
+void BM_AccelActiveHitBlock(benchmark::State& state) {
+  sensors::AccelerometerModel model;
+  hit_block_window(state, model, kPlateau);
+}
+BENCHMARK(BM_AccelActiveHitBlock);
+
+void BM_PressureIdleSampleLoop(benchmark::State& state) {
+  sensors::PressureModel model;
+  sample_window(state, model, 0.0);
+}
+BENCHMARK(BM_PressureIdleSampleLoop);
+
+void BM_PressureIdleHitBlock(benchmark::State& state) {
+  sensors::PressureModel model;
+  hit_block_window(state, model, 0.0);
+}
+BENCHMARK(BM_PressureIdleHitBlock);
 
 void BM_AccelIdleDrawsOnly(benchmark::State& state) {
   const sensors::AccelerometerModel::Params params;
   util::Rng rng(5);
   for (auto _ : state) {
     // Per sample: bump trial, two tilt angles, 1.5 polar pairs.
-    for (std::size_t i = 0; i < kIdleWindow; ++i) {
+    for (std::size_t i = 0; i < kWindow; ++i) {
       benchmark::DoNotOptimize(rng.bernoulli(params.bump_probability));
       benchmark::DoNotOptimize(rng.uniform());
       benchmark::DoNotOptimize(rng.uniform());
@@ -155,7 +195,7 @@ void BM_AccelIdleDrawsOnly(benchmark::State& state) {
       if (i % 2 == 0) benchmark::DoNotOptimize(rng.polar());
     }
   }
-  state.SetItemsProcessed(state.iterations() * kIdleWindow);
+  state.SetItemsProcessed(state.iterations() * kWindow);
 }
 BENCHMARK(BM_AccelIdleDrawsOnly);
 

@@ -73,9 +73,10 @@ class AccelerometerModel final : public SensorModel {
 
   double sample(sim::TimePoint t, double activation, double intensity,
                 util::Rng& rng) override;
-  /// Decides quiet idle samples from the noise pairs' radii alone (see
-  /// DESIGN.md, "Decision kernel"); every other sample takes sample()'s
-  /// exact path.
+  /// Decides quiet idle samples from the noise pairs' radii alone and
+  /// clearly decided tilted samples from cos φ, sin φ and the noise,
+  /// without the θ trigonometry (see DESIGN.md, "Decision kernel"); every
+  /// other sample takes sample()'s exact path.
   void hit_block(sim::TimePoint first, sim::Duration step,
                  const double* activations, std::size_t count,
                  double intensity, double threshold, util::Rng& rng,
@@ -94,31 +95,35 @@ class AccelerometerModel final : public SensorModel {
     double theta;
     double phi;
   };
-  /// One noise draw of hit_block() whose value is computed on demand: half
-  /// `w` (u or v) of a polar pair with squared radius `s` and factor `f`
-  /// (0 until evaluated).
-  struct LazyNormal {
-    double w;
-    double s;
-    double f;
-    bool v_half;
-
-    double factor() const noexcept {
-      return f != 0.0 ? f : util::Rng::polar_factor(s);
-    }
+  /// Squared-magnitude bounds of the tilted-sample decision for one
+  /// threshold t: |a|² > above_hit or |a|² < below_hit is a hit, |a|²
+  /// inside (inside_lo, inside_hi) a miss; each edge is (1 ± t ± slack)².
+  struct TiltBand {
+    double above_hit;
+    double below_hit;
+    double inside_lo;
+    double inside_hi;
   };
 
   Tilt draw_tilt(double activation, double intensity, util::Rng& rng) const;
   Vec3 reading(const Tilt& tilt, double nx, double ny, double nz) const;
-  double noise_value(const LazyNormal& n) const noexcept;
-  void set_quiet_threshold(double threshold) noexcept;
+  static double excitation(const Vec3& a) noexcept;
+  /// Whether a tilted sample's threshold test comes out the same
+  /// whatever θ is; if so, `hit` is its outcome.
+  bool decide_tilted(const Tilt& tilt, double nx, double ny, double nz,
+                     bool& hit) const noexcept;
+  void set_threshold(double threshold) noexcept;
 
   Params params_;
   Vec3 last_{};
-  bool last_lazy_ = false;  ///< last sample was decided quiet: see lazy_
-  std::array<LazyNormal, 3> lazy_{};  ///< its x, y, z noise draws
-  double quiet_threshold_ = std::numeric_limits<double>::quiet_NaN();
+  /// The last sample came from hit_block(), which keeps its tilt and noise
+  /// draws and leaves the reading to last_reading().
+  bool last_lazy_ = false;
+  Tilt lazy_tilt_{};
+  std::array<util::Rng::LazyNormal, 3> lazy_{};  ///< its x, y, z noise
+  double threshold_ = std::numeric_limits<double>::quiet_NaN();
   double quiet_s_min_ = std::numeric_limits<double>::infinity();
+  TiltBand band_{};
 };
 
 /// Pressure sensor (the electronic pot's dispense lever). Produces a small
@@ -138,6 +143,10 @@ class PressureModel final : public SensorModel {
 
   double sample(sim::TimePoint t, double activation, double intensity,
                 util::Rng& rng) override;
+  /// Decides samples whose drive alone clears the threshold, and quiet
+  /// low-drive samples from the noise pair's radius, without the normal's
+  /// log/sqrt (see DESIGN.md, "Decision kernel"); bumps and the rest take
+  /// sample()'s exact path.
   void hit_block(sim::TimePoint first, sim::Duration step,
                  const double* activations, std::size_t count,
                  double intensity, double threshold, util::Rng& rng,
@@ -145,7 +154,14 @@ class PressureModel final : public SensorModel {
   double recommended_threshold() const noexcept override { return 0.25; }
 
  private:
+  void set_threshold(double threshold) noexcept;
+
   Params params_;
+  /// The threshold the decision bounds below were computed for.
+  double threshold_ = std::numeric_limits<double>::quiet_NaN();
+  double hit_drive_min_ = std::numeric_limits<double>::quiet_NaN();
+  double quiet_drive_max_ = -std::numeric_limits<double>::infinity();
+  double quiet_s_min_ = std::numeric_limits<double>::infinity();
 };
 
 /// Passive-infrared-style motion sensor: a stochastic detector that fires

@@ -122,6 +122,25 @@ class Rng {
     return std::sqrt(-2.0 * std::log(s) / s);
   }
 
+  /// One half of a polar() pair whose normal is evaluated on demand: `w`
+  /// (u or v) of a pair with squared radius `s` and factor `f` (0 until
+  /// evaluated). A v·f taken over from the cache is w = v·f, f = 1.
+  struct LazyNormal {
+    double w;
+    double s;
+    double f;
+    bool v_half;
+
+    double factor() const noexcept { return f != 0.0 ? f : polar_factor(s); }
+
+    /// The bits normal(0, stddev) returns for this half: (σ·u)·f for a
+    /// u-half, σ·(v·f) for a cached v-half.
+    double normal(double stddev) const noexcept {
+      const double unit = factor();
+      return v_half ? 0.0 + stddev * (w * unit) : 0.0 + stddev * w * unit;
+    }
+  };
+
   /// The v-half unit value v·f the next normal() call returns (scaled),
   /// if one is cached. Code that draws polar() pairs itself takes the
   /// cache over with take_cached_normal() and hands its own unconsumed

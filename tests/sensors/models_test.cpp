@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -230,15 +233,17 @@ TEST(AccelerometerModelTest, IdleFastPathIsBitExact) {
 }
 
 // hit_block against the sample() loop on random windows: 1-12 samples
-// that are idle, active or mixed, at thresholds 0.02-1.5, with default and
-// frequent bumps, starting with and without a cached normal. Each window
-// compares the hits, the last reading's bits and the draws that follow.
-TEST(AccelerometerModelTest, HitBlockMatchesSampleLoop) {
+// that are idle, active or mixed, at thresholds 0.02-1.5, with each of
+// `params` (default and frequent bumps), starting with and without a
+// cached normal. Each window compares the hits, the draws that follow and,
+// for a model that has one, the last reading's bits.
+template <typename Model>
+void expect_hit_block_matches_sample_loop(
+    std::initializer_list<typename Model::Params> params_list) {
   util::Rng script(99);
-  for (const AccelerometerModel::Params params :
-       {AccelerometerModel::Params{}, bumpy_params()}) {
-    AccelerometerModel loop_model(params);
-    AccelerometerModel block_model(params);
+  for (const typename Model::Params& params : params_list) {
+    Model loop_model(params);
+    Model block_model(params);
     util::Rng loop_rng(7);
     util::Rng block_rng(7);
     for (int window = 0; window < 20000; ++window) {
@@ -264,11 +269,13 @@ TEST(AccelerometerModelTest, HitBlockMatchesSampleLoop) {
             TimePoint::origin(), activations[k], intensity, loop_rng);
         ASSERT_EQ(hits[k] != 0, excitation > threshold) << "sample " << k;
       }
-      const Vec3 a = loop_model.last_reading();
-      const Vec3 b = block_model.last_reading();
-      ASSERT_EQ(bits(a.x), bits(b.x));
-      ASSERT_EQ(bits(a.y), bits(b.y));
-      ASSERT_EQ(bits(a.z), bits(b.z));
+      if constexpr (requires { loop_model.last_reading(); }) {
+        const Vec3 a = loop_model.last_reading();
+        const Vec3 b = block_model.last_reading();
+        ASSERT_EQ(bits(a.x), bits(b.x));
+        ASSERT_EQ(bits(a.y), bits(b.y));
+        ASSERT_EQ(bits(a.z), bits(b.z));
+      }
       // Now and then consume a normal (flipping the cached-half parity the
       // next window starts with) or a raw draw, on both streams.
       switch (script.uniform_int(0, 3)) {
@@ -285,6 +292,89 @@ TEST(AccelerometerModelTest, HitBlockMatchesSampleLoop) {
     }
     EXPECT_EQ(loop_rng(), block_rng());
   }
+}
+
+TEST(AccelerometerModelTest, HitBlockMatchesSampleLoop) {
+  expect_hit_block_matches_sample_loop<AccelerometerModel>(
+      {AccelerometerModel::Params{}, bumpy_params()});
+}
+
+// One sample decided by one-sample hit_block calls at thresholds on its
+// own sample() value e: e itself, its nextafter neighbours, e·(1 ± 2⁻²⁰),
+// e ± 4e-9, and `extra`. Each call must match e > threshold and leave the
+// next draws and, for a model that has one, last_reading() where sample()
+// did; `rng` then moves on as sample() moved it. Counts the hits seen.
+template <typename Model>
+void expect_decided_at_the_boundary(const typename Model::Params& params,
+                                    double activation, double intensity,
+                                    double extra, util::Rng& rng,
+                                    std::size_t& hits_seen) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  Model loop_model(params);
+  util::Rng loop_rng = rng;
+  const double e =
+      loop_model.sample(TimePoint::origin(), activation, intensity, loop_rng);
+  for (const double threshold :
+       {e, std::nextafter(e, -kInf), std::nextafter(e, kInf),
+        e * (1.0 - 0x1p-20), e * (1.0 + 0x1p-20), e - 4e-9, e + 4e-9,
+        extra}) {
+    Model block_model(params);
+    util::Rng block_rng = rng;
+    std::uint8_t hit = 2;
+    block_model.hit_block(TimePoint::origin(), sim::Duration::millis(100),
+                          &activation, 1, intensity, threshold, block_rng,
+                          &hit);
+    ASSERT_EQ(hit != 0, e > threshold) << "threshold " << threshold;
+    hits_seen += hit;
+    if constexpr (requires { loop_model.last_reading(); }) {
+      const Vec3 want = loop_model.last_reading();
+      const Vec3 got = block_model.last_reading();
+      ASSERT_EQ(bits(got.x), bits(want.x));
+      ASSERT_EQ(bits(got.y), bits(want.y));
+      ASSERT_EQ(bits(got.z), bits(want.z));
+    }
+    util::Rng next = loop_rng;
+    ASSERT_EQ(bits(block_rng.normal(0.0, 1.0)), bits(next.normal(0.0, 1.0)));
+    ASSERT_EQ(block_rng(), next());
+  }
+  rng = loop_rng;
+}
+
+// Thresholds >= 1 (where no reading is low enough to hit), inf and NaN.
+constexpr double kExtraThresholds[] = {
+    1.0, 0x1.0000000000001p+0, 1.25, 2.5,
+    std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN()};
+
+// The tilted-sample decision where it is tightest: 210k active or bumped
+// samples, each at thresholds on its own excitation. Models with σ = 1e-7
+// and σ = 0 shrink the θ-free interval around |a| to almost or exactly a
+// point, so only the decision's slack separates a threshold at e from a
+// wrong decision.
+TEST(AccelerometerModelTest, ActiveDecisionHoldsAtTheBoundary) {
+  util::Rng script(31);
+  util::Rng rng(17);
+  std::size_t samples = 0;
+  std::size_t hits_seen = 0;
+  for (const double noise_g : {0.035, 1e-7, 0.0}) {
+    AccelerometerModel::Params active;
+    active.noise_g = noise_g;
+    AccelerometerModel::Params bumped = active;
+    bumped.bump_probability = 1.0;
+    for (int i = 0; i < 70000; ++i, ++samples) {
+      SCOPED_TRACE(samples);
+      const bool bump = i % 4 == 3;
+      const double activation = bump ? 0.0 : script.uniform(0.02, 1.0);
+      const double intensity = script.uniform(0.1, 1.3);
+      expect_decided_at_the_boundary<AccelerometerModel>(
+          bump ? bumped : active, activation, intensity,
+          kExtraThresholds[i % std::size(kExtraThresholds)], rng,
+          hits_seen);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_EQ(samples, 210000u);
+  EXPECT_GT(hits_seen, samples);  // both outcomes occur
 }
 
 TEST(PressureModelTest, MonotoneInActivation) {
@@ -305,6 +395,45 @@ TEST(PressureModelTest, NeverNegative) {
   for (int i = 0; i < 2000; ++i) {
     EXPECT_GE(model.sample(TimePoint::origin(), 0.3, 0.4, rng), 0.0);
   }
+}
+
+PressureModel::Params bumpy_pressure_params() {
+  PressureModel::Params p;
+  p.bump_probability = 0.2;
+  return p;
+}
+
+TEST(PressureModelTest, HitBlockMatchesSampleLoop) {
+  expect_hit_block_matches_sample_loop<PressureModel>(
+      {PressureModel::Params{}, bumpy_pressure_params()});
+}
+
+// The pressure decisions at thresholds on each sample's own value: idle,
+// bumped, barely driven (drive near the quiet bound's t/16) and active
+// samples, with default noise and with none.
+TEST(PressureModelTest, DecisionHoldsAtTheBoundary) {
+  util::Rng script(32);
+  util::Rng rng(18);
+  std::size_t hits_seen = 0;
+  for (const double noise : {0.05, 0.0}) {
+    PressureModel::Params quiet;
+    quiet.noise = noise;
+    PressureModel::Params bumped = quiet;
+    bumped.bump_probability = 1.0;
+    for (int i = 0; i < 40000; ++i) {
+      SCOPED_TRACE(i);
+      const int mode = i % 4;
+      const double activation = mode < 2   ? 0.0
+                                : mode == 2 ? script.uniform(0.0, 0.05)
+                                            : script.uniform(0.05, 1.0);
+      expect_decided_at_the_boundary<PressureModel>(
+          mode == 1 ? bumped : quiet, activation, script.uniform(0.1, 1.3),
+          kExtraThresholds[i % std::size(kExtraThresholds)], rng,
+          hits_seen);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(hits_seen, 80000u);
 }
 
 TEST(MotionModelTest, BinaryOutput) {

@@ -2,7 +2,9 @@
 # Builds the exec + sim test binaries under ThreadSanitizer and runs them.
 # The exec layer is the only intentionally multi-threaded code in the repo;
 # the sim scheduler rides along to prove a Scheduler instance stays
-# single-threaded under TrialRunner fan-out.
+# single-threaded under TrialRunner fan-out. The jobs-invariance gtests
+# (serve, fleet, chaos, scenario corpus) run here too, so their checks
+# that output is byte-identical at every job count run under TSan.
 #
 # Usage: tools/run_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -12,7 +14,8 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DCOREDA_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j --target test_exec test_sim test_trace \
-  bench_fleet_throughput bench_session_throughput bench_serve_throughput \
+  test_serve test_faults test_scenarios bench_fleet_throughput \
+  bench_session_throughput bench_serve_throughput \
   bench_retrain_recovery bench_fleet_serve bench_chaos_soak \
   bench_scenario_corpus
 
@@ -22,6 +25,14 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Dataset tests exercise sensed_training_set_parallel (sensing stacks on
 # pool workers).
 "$BUILD_DIR"/tests/test_trace --gtest_filter='DatasetFixture.*'
+# The jobs-invariance gtests: each drains the same work at one and at
+# several jobs and compares the results byte for byte (serve engine,
+# retrain loop, fleet drain, scenario runner, both chaos soaks), and the
+# scenario corpus runs every committed plan through the pooled runner.
+"$BUILD_DIR"/tests/test_serve --gtest_filter='*ByteIdenticalAtAnyJobCount:'\
+'*JobsInvariant:FleetFixture.DrainIsByteIdenticalAtOneAndFourJobs'
+"$BUILD_DIR"/tests/test_faults --gtest_filter='*ResultIsIdenticalAtAnyJobCount'
+"$BUILD_DIR"/tests/test_scenarios
 # The fleet bench is the heaviest TrialRunner consumer: N concurrent
 # RoutineLearners plus the global operator-new counter (relaxed atomic) on
 # every worker. A small fleet at --jobs=4 is enough for TSan to observe
@@ -80,6 +91,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # the bundle write-back path adds no cross-thread edges.
 "$BUILD_DIR"/bench/bench_scenario_corpus --jobs=4 > /dev/null
 
-echo "TSan: all exec/sim/trace-parallel tests, the" \
+echo "TSan: all exec/sim/trace-parallel tests, the jobs-invariance" \
+     "gtests, the" \
      "fleet/session/serve/retrain/fleet-serve/chaos benches and the" \
      "scenario corpus passed."
